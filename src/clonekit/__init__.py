@@ -73,7 +73,7 @@ from .maltsev import (
     is_n_permutable_somewhere,
     verify_hm_chain,
 )
-from .search import BudgetExceededError, Outcome, SearchBudget
+from .search import BudgetExceededError, CrossCheckError, Outcome, SearchBudget
 from .structures import (
     CapacityError,
     ParseError,

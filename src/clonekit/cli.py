@@ -2,7 +2,7 @@
 
 Exit codes, uniform across subcommands:
   0  positive decision (homomorphism/coloring/witness found, condition holds)
-  1  input parse error
+  1  input parse error or usage error
   2  capacity exceeded
   3  negative decision, exhaustively refuted (hardness certificate for classify)
   4  inconclusive: budget exhausted
@@ -38,7 +38,7 @@ from .freestruct import (
     h1_homomorphism_exists,
     h1_to_projections,
 )
-from .homs import core_of, find_homomorphism, hom_equivalent
+from .homs import SignatureMismatchError, core_of, find_homomorphism, hom_equivalent
 from .maltsev import (
     DAY_LABELS,
     find_hagemann_mitschke,
@@ -115,30 +115,30 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-_common = [
-    click.option("--json", "json_path", type=click.Path(), default=None,
-                 help="Also write the canonical JSON report to this path."),
-    click.option("--budget-nodes", type=int, default=None,
-                 help="Search node limit."),
-    click.option("--budget-ms", type=float, default=None,
-                 help="Search time limit in milliseconds."),
-    click.option("--parallel", type=int, default=None,
-                 help="Workers for splitting the root branching factor."),
-    click.option("--deterministic/--no-deterministic", default=True,
-                 help="Byte-stable reports and witnesses (default on)."),
-    click.option("--config", "config_path", type=click.Path(), default=None,
-                 help="key=value file with budget-nodes/budget-ms/parallel;"
-                      " flags override."),
-]
+def _common_options() -> list[click.Option]:
+    return [
+        click.Option(["--json", "json_path"], type=click.Path(), default=None,
+                     help="Also write the canonical JSON report to this path."),
+        click.Option(["--budget-nodes"], type=int, default=None,
+                     help="Search node limit."),
+        click.Option(["--budget-ms"], type=float, default=None,
+                     help="Search time limit in milliseconds."),
+        click.Option(["--parallel"], type=int, default=None,
+                     help="Accepted for compatibility and echoed in the report;"
+                          " search is sequential."),
+        click.Option(["--deterministic/--no-deterministic"], default=True,
+                     help="Byte-stable reports and witnesses (default on)."),
+        click.Option(["--config", "config_path"], type=click.Path(), default=None,
+                     help="key=value file with budget-nodes/budget-ms/parallel;"
+                          " flags override."),
+    ]
 
 
-def common_options(f):
-    for opt in reversed(_common):
-        f = opt(f)
-    return f
-
-
-def _budget(budget_nodes, budget_ms, parallel, deterministic, config_path):
+def _decide(command: str, inputs: dict, body, *, json_path, budget_nodes,
+            budget_ms, parallel, deterministic, config_path, **config):
+    """Run ``body(budget)``, which returns (verdict, certificates, nodes,
+    text, exit code); report, print and exit with that code.  ``config``
+    holds the command's own options, echoed in the report."""
     file_cfg = _load_config_file(config_path) if config_path else {}
     try:
         if budget_nodes is None and "budget-nodes" in file_cfg:
@@ -149,44 +149,76 @@ def _budget(budget_nodes, budget_ms, parallel, deterministic, config_path):
             parallel = int(file_cfg["parallel"])
     except ValueError as e:
         _fail(EXIT_PARSE, f"bad config value: {e}")
-    budget = SearchBudget(node_limit=budget_nodes, time_limit_ms=budget_ms,
-                          parallel_width=parallel or 1,
-                          deterministic=deterministic)
-    echo = {"budget_nodes": budget_nodes, "budget_ms": budget_ms,
-            "parallel": parallel or 1, "deterministic": deterministic}
-    return budget, echo
-
-
-def _emit(report: dict, json_path: str | None, text: str):
-    click.echo(text)
-    if json_path:
-        Path(json_path).write_text(render_report(report))
-
-
-def _run(fn):
-    """Uniform capacity/budget/input error handling around a command body."""
-    from .homs import SignatureMismatchError
+    if parallel is not None and parallel < 0:
+        _fail(EXIT_PARSE, "bad budget: parallel must not be negative")
     try:
-        return fn()
+        budget = SearchBudget(node_limit=budget_nodes, time_limit_ms=budget_ms)
+    except ValueError as e:
+        _fail(EXIT_PARSE, f"bad budget: {e}")
+    echo = {"budget_nodes": budget_nodes, "budget_ms": budget_ms,
+            "parallel": parallel or 1, "deterministic": deterministic, **config}
+    t0 = time.monotonic()
+    try:
+        verdict, certs, nodes, text, code = body(budget)
     except CapacityError as e:
         _fail(EXIT_CAPACITY, str(e))
     except BudgetExceededError as e:
         _fail(EXIT_INCONCLUSIVE, f"budget exhausted: {e}")
     except (SignatureMismatchError, ValueError) as e:
         _fail(EXIT_PARSE, str(e))
+    wall = (time.monotonic() - t0) * 1000
+    report = build_report(command, echo, inputs, verdict, certs, nodes,
+                          deterministic, wall)
+    click.echo(text)
+    if json_path:
+        Path(json_path).write_text(render_report(report))
+    sys.exit(code)
 
 
-@click.group()
+def _searched(res, verdict=None, certs=None, text=None):
+    """Body result of a search-shaped command (hom, homeq, color, h1):
+    FOUND, REFUTED and BUDGET exit 0, 3 and 4.  A BUDGET outcome carries
+    no certificates and ignores the verdict, certificates and text given."""
+    if res.outcome is Outcome.BUDGET:
+        return ("budget", {}, res.nodes, "inconclusive: budget exhausted",
+                EXIT_INCONCLUSIVE)
+    return verdict, certs, res.nodes, text, EXIT_OK if res.found else EXIT_NEGATIVE
+
+
+class _Cli(click.Group):
+    """Usage errors exit 1 (parse error), not click's 2 (capacity here)."""
+
+    def parse_args(self, ctx, args):
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as e:
+            e.exit_code = EXIT_PARSE
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as e:
+            e.exit_code = EXIT_PARSE
+            raise
+
+
+@click.group(cls=_Cli)
 @click.version_option(version=__version__, prog_name="clonekit")
 def main():
     """Classify finite relational structures and certify the verdicts."""
 
 
-@main.command()
+def decision(f):
+    """Register a decision command on ``main``, followed by the common options."""
+    command = main.command()(f)
+    command.params += _common_options()
+    return command
+
+
+@decision
 @click.argument("structure_file", type=click.Path(exists=True))
-@common_options
-def classify(structure_file, json_path, budget_nodes, budget_ms, parallel,
-             deterministic, config_path):
+def classify(structure_file, **common):
     """Decide the conjectured hardness/tractability side for a structure.
 
     Exit 0 with a Siggers (Taylor) witness, exit 3 with an h1-to-projections
@@ -194,152 +226,108 @@ def classify(structure_file, json_path, budget_nodes, budget_ms, parallel,
     claims polynomial-time solvability, only the witness.
     """
     a = _read_structure(structure_file)
-    budget, echo = _budget(budget_nodes, budget_ms, parallel, deterministic,
-                           config_path)
-    t0 = time.monotonic()
 
-    def body():
-        return h1_to_projections(a, budget)
+    def body(budget):
+        res = h1_to_projections(a, budget)
+        nodes = (res.siggers.nodes if res.siggers else 0) + \
+                (res.coloring.nodes if res.coloring else 0)
+        if res.outcome is Outcome.BUDGET:
+            return ("inconclusive", {}, nodes, "inconclusive: budget exhausted "
+                    "before both oracles finished", EXIT_INCONCLUSIVE)
+        if res.exists:
+            certs = {
+                "coloring": {"free": free_to_dict(res.coloring.free),
+                             "coloring": coloring_to_dict(res.coloring.coloring)},
+                "siggers_refuted": True,
+            }
+            return ("hardness-certificate", certs, nodes,
+                    "hardness certificate: the polymorphism clone maps to the "
+                    "projection clone by an h1 clone homomorphism (CSP is NP-hard)",
+                    EXIT_NEGATIVE)
+        certs = {"siggers": operation_to_dict(res.siggers.assignment["t"])}
+        return ("taylor-witness", certs, nodes,
+                "Taylor witness found (Siggers table attached): conjectured "
+                "tractable side; no h1 clone homomorphism to the projections",
+                EXIT_OK)
 
-    res = _run(body)
-    wall = (time.monotonic() - t0) * 1000
-    nodes = (res.siggers.nodes if res.siggers else 0) + \
-            (res.coloring.nodes if res.coloring else 0)
-    inputs = {"structure": structure_to_dict(a)}
-    if res.outcome is Outcome.BUDGET:
-        report = build_report("classify", echo, inputs, "inconclusive", {},
-                              nodes, deterministic, wall)
-        _emit(report, json_path, "inconclusive: budget exhausted before both "
-                                 "oracles finished")
-        sys.exit(EXIT_INCONCLUSIVE)
-    if res.exists:
-        certs = {
-            "coloring": {"free": free_to_dict(res.coloring.free),
-                         "coloring": coloring_to_dict(res.coloring.coloring)},
-            "siggers_refuted": True,
-        }
-        report = build_report("classify", echo, inputs, "hardness-certificate",
-                              certs, nodes, deterministic, wall)
-        _emit(report, json_path,
-              "hardness certificate: the polymorphism clone maps to the "
-              "projection clone by an h1 clone homomorphism (CSP is NP-hard)")
-        sys.exit(EXIT_NEGATIVE)
-    certs = {"siggers": operation_to_dict(res.siggers.assignment["t"])}
-    report = build_report("classify", echo, inputs, "taylor-witness", certs,
-                          nodes, deterministic, wall)
-    _emit(report, json_path,
-          "Taylor witness found (Siggers table attached): conjectured "
-          "tractable side; no h1 clone homomorphism to the projections")
-    sys.exit(EXIT_OK)
+    _decide("classify", {"structure": structure_to_dict(a)}, body, **common)
 
 
-@main.command()
+@decision
 @click.argument("source_file", type=click.Path(exists=True))
 @click.argument("target_file", type=click.Path(exists=True))
-@common_options
-def hom(source_file, target_file, json_path, budget_nodes, budget_ms, parallel,
-        deterministic, config_path):
+def hom(source_file, target_file, **common):
     """Search for a homomorphism SOURCE -> TARGET."""
     c = _read_structure(source_file)
     a = _read_structure(target_file)
-    budget, echo = _budget(budget_nodes, budget_ms, parallel, deterministic,
-                           config_path)
-    t0 = time.monotonic()
-    res = _run(lambda: find_homomorphism(c, a, budget))
-    wall = (time.monotonic() - t0) * 1000
+
+    def body(budget):
+        res = find_homomorphism(c, a, budget)
+        if res.found:
+            certs = {"witness": hom_map_to_dict(res.witness)}
+            return _searched(res, "found", certs, f"found: {list(res.witness.map)}")
+        return _searched(res, "refuted", {}, "refuted: no homomorphism exists")
+
     inputs = {"source": structure_to_dict(c), "target": structure_to_dict(a)}
-    verdict = res.outcome.value
-    certs = {"witness": hom_map_to_dict(res.witness)} if res.found else {}
-    report = build_report("hom", echo, inputs, verdict, certs, res.nodes,
-                          deterministic, wall)
-    if res.found:
-        _emit(report, json_path, f"found: {list(res.witness.map)}")
-        sys.exit(EXIT_OK)
-    if res.outcome is Outcome.REFUTED:
-        _emit(report, json_path, "refuted: no homomorphism exists")
-        sys.exit(EXIT_NEGATIVE)
-    _emit(report, json_path, "inconclusive: budget exhausted")
-    sys.exit(EXIT_INCONCLUSIVE)
+    _decide("hom", inputs, body, **common)
 
 
-@main.command()
+@decision
 @click.argument("structure_file", type=click.Path(exists=True))
-@common_options
-def core(structure_file, json_path, budget_nodes, budget_ms, parallel,
-         deterministic, config_path):
+def core(structure_file, **common):
     """Compute the core and the retraction onto it."""
     a = _read_structure(structure_file)
-    budget, echo = _budget(budget_nodes, budget_ms, parallel, deterministic,
-                           config_path)
-    t0 = time.monotonic()
-    res = _run(lambda: core_of(a, budget))
-    wall = (time.monotonic() - t0) * 1000
-    inputs = {"structure": structure_to_dict(a)}
-    certs = {"core": structure_to_dict(res.core),
-             "retraction": hom_map_to_dict(res.retraction),
-             "subset": list(res.subset)}
-    report = build_report("core", echo, inputs, "core", certs, 0,
-                          deterministic, wall)
-    _emit(report, json_path,
-          f"core has {res.core.size} element(s), carried by {list(res.subset)}; "
-          f"retraction {list(res.retraction.map)}")
-    sys.exit(EXIT_OK)
+
+    def body(budget):
+        res = core_of(a, budget)
+        certs = {"core": structure_to_dict(res.core),
+                 "retraction": hom_map_to_dict(res.retraction),
+                 "subset": list(res.subset)}
+        return ("core", certs, 0,
+                f"core has {res.core.size} element(s), carried by "
+                f"{list(res.subset)}; retraction {list(res.retraction.map)}",
+                EXIT_OK)
+
+    _decide("core", {"structure": structure_to_dict(a)}, body, **common)
 
 
-@main.command()
+@decision
 @click.argument("source_file", type=click.Path(exists=True))
 @click.argument("target_file", type=click.Path(exists=True))
-@common_options
-def homeq(source_file, target_file, json_path, budget_nodes, budget_ms,
-          parallel, deterministic, config_path):
+def homeq(source_file, target_file, **common):
     """Decide homomorphic equivalence of two structures."""
     a = _read_structure(source_file)
     b = _read_structure(target_file)
-    budget, echo = _budget(budget_nodes, budget_ms, parallel, deterministic,
-                           config_path)
-    t0 = time.monotonic()
-    res = _run(lambda: hom_equivalent(a, b, budget))
-    wall = (time.monotonic() - t0) * 1000
+
+    def body(budget):
+        res = hom_equivalent(a, b, budget)
+        if res.found:
+            certs = {"forward": hom_map_to_dict(res.forward),
+                     "backward": hom_map_to_dict(res.backward)}
+            return _searched(res, "found", certs, f"equivalent: "
+                             f"{list(res.forward.map)} / {list(res.backward.map)}")
+        return _searched(res, "refuted", {},
+                         "refuted: one direction has no homomorphism")
+
     inputs = {"source": structure_to_dict(a), "target": structure_to_dict(b)}
-    certs = {}
-    if res.found:
-        certs = {"forward": hom_map_to_dict(res.forward),
-                 "backward": hom_map_to_dict(res.backward)}
-    report = build_report("homeq", echo, inputs, res.outcome.value, certs,
-                          res.nodes, deterministic, wall)
-    if res.found:
-        _emit(report, json_path,
-              f"equivalent: {list(res.forward.map)} / {list(res.backward.map)}")
-        sys.exit(EXIT_OK)
-    if res.outcome is Outcome.REFUTED:
-        _emit(report, json_path, "refuted: one direction has no homomorphism")
-        sys.exit(EXIT_NEGATIVE)
-    _emit(report, json_path, "inconclusive: budget exhausted")
-    sys.exit(EXIT_INCONCLUSIVE)
+    _decide("homeq", inputs, body, **common)
 
 
-@main.command()
+@decision
 @click.argument("structure_file", type=click.Path(exists=True))
 @click.option("--arity", type=int, required=True, help="Polymorphism arity.")
-@common_options
-def poly(structure_file, arity, json_path, budget_nodes, budget_ms, parallel,
-         deterministic, config_path):
+def poly(structure_file, arity, **common):
     """Enumerate all polymorphisms of a given arity."""
     a = _read_structure(structure_file)
-    budget, echo = _budget(budget_nodes, budget_ms, parallel, deterministic,
-                           config_path)
-    echo["arity"] = arity
-    t0 = time.monotonic()
-    tables = _run(lambda: all_polymorphisms(a, arity, budget))
-    wall = (time.monotonic() - t0) * 1000
-    inputs = {"structure": structure_to_dict(a)}
-    certs = {"tables": [operation_to_dict(op) for op in tables]}
-    report = build_report("poly", echo, inputs, "complete", certs, 0,
-                          deterministic, wall)
-    lines = [f"{len(tables)} polymorphism(s) of arity {arity}"]
-    lines += [f"  {list(op.table)}" for op in tables]
-    _emit(report, json_path, "\n".join(lines))
-    sys.exit(EXIT_OK)
+
+    def body(budget):
+        tables = all_polymorphisms(a, arity, budget)
+        certs = {"tables": [operation_to_dict(op) for op in tables]}
+        lines = [f"{len(tables)} polymorphism(s) of arity {arity}"]
+        lines += [f"  {list(op.table)}" for op in tables]
+        return "complete", certs, 0, "\n".join(lines), EXIT_OK
+
+    _decide("poly", {"structure": structure_to_dict(a)}, body, arity=arity, **common)
 
 
 def _read_power_spec(path: str) -> PPPowerSpec:
@@ -358,41 +346,34 @@ def _read_power_spec(path: str) -> PPPowerSpec:
         _fail(EXIT_PARSE, f"{path}: {e}")
 
 
-@main.command()
+@decision
 @click.argument("structure_file", type=click.Path(exists=True))
 @click.option("--spec", "spec_path", type=click.Path(exists=True), required=True,
               help="pp-power spec file: dimension plus formula per relation.")
-@common_options
-def pp(structure_file, spec_path, json_path, budget_nodes, budget_ms, parallel,
-       deterministic, config_path):
+def pp(structure_file, spec_path, **common):
     """Build the pp-power of a structure from a spec file."""
     a = _read_structure(structure_file)
     spec = _read_power_spec(spec_path)
-    _, echo = _budget(budget_nodes, budget_ms, parallel, deterministic,
-                      config_path)
-    t0 = time.monotonic()
-    power = _run(lambda: pp_power(a, spec))
-    wall = (time.monotonic() - t0) * 1000
+
+    def body(budget):
+        power = pp_power(a, spec)
+        sizes = {n: len(power.relations[n]) for n, _ in power.signature.rel_names}
+        return ("built", {"power": structure_to_dict(power)}, 0,
+                f"power has {power.size} elements; relation sizes " + str(sizes),
+                EXIT_OK)
+
     inputs = {"structure": structure_to_dict(a), "spec": spec_to_dict(spec)}
-    certs = {"power": structure_to_dict(power)}
-    report = build_report("pp", echo, inputs, "built", certs, 0,
-                          deterministic, wall)
-    _emit(report, json_path,
-          f"power has {power.size} elements; relation sizes " +
-          str({n: len(power.relations[n]) for n, _ in power.signature.rel_names}))
-    sys.exit(EXIT_OK)
+    _decide("pp", inputs, body, **common)
 
 
-@main.command()
+@decision
 @click.argument("structure_file", type=click.Path(exists=True))
 @click.option("--target", "target_path", type=click.Path(exists=True),
               required=True,
               help='Candidate relation file: {"arity": k, "tuples": [[..]]}.')
 @click.option("--max-arity", type=int, default=4, show_default=True,
               help="Violator search arity cap (complete when >= |R|).")
-@common_options
-def ppdef(structure_file, target_path, max_arity, json_path, budget_nodes,
-          budget_ms, parallel, deterministic, config_path):
+def ppdef(structure_file, target_path, max_arity, **common):
     """Decide pp-definability of a candidate relation."""
     a = _read_structure(structure_file)
     obj = _read_json(target_path)
@@ -401,177 +382,131 @@ def ppdef(structure_file, target_path, max_arity, json_path, budget_nodes,
         tuples = [tuple(int(v) for v in t) for t in obj["tuples"]]
     except (KeyError, TypeError, ValueError) as e:
         _fail(EXIT_PARSE, f"{target_path}: {e}")
-    budget, echo = _budget(budget_nodes, budget_ms, parallel, deterministic,
-                           config_path)
-    echo["max_arity"] = max_arity
-    t0 = time.monotonic()
-    res = _run(lambda: is_pp_definable(a, tuples, arity, budget, max_arity))
-    wall = (time.monotonic() - t0) * 1000
+
+    def body(budget):
+        res = is_pp_definable(a, tuples, arity, budget, max_arity)
+        if res.definable:
+            certs = {"complete": res.complete, "arity_searched": res.arity_searched}
+            kind = "complete" if res.complete else f"bounded at arity {res.arity_searched}"
+            return ("definable", certs, 0,
+                    f"definable ({kind}): no violating polymorphism", EXIT_OK)
+        certs = {"violator": operation_to_dict(res.violator),
+                 "selection": [list(t) for t in res.selection]}
+        return ("not-definable", certs, 0,
+                f"not definable: arity-{res.violator.arity} polymorphism "
+                f"{list(res.violator.table)} moves {list(res.selection)} outside",
+                EXIT_NEGATIVE)
+
     inputs = {"structure": structure_to_dict(a),
               "relation": {"arity": arity, "tuples": [list(t) for t in tuples]}}
-    if res.definable:
-        certs = {"complete": res.complete, "arity_searched": res.arity_searched}
-        report = build_report("ppdef", echo, inputs, "definable", certs, 0,
-                              deterministic, wall)
-        kind = "complete" if res.complete else f"bounded at arity {res.arity_searched}"
-        _emit(report, json_path, f"definable ({kind}): no violating polymorphism")
-        sys.exit(EXIT_OK)
-    certs = {"violator": operation_to_dict(res.violator),
-             "selection": [list(t) for t in res.selection]}
-    report = build_report("ppdef", echo, inputs, "not-definable", certs, 0,
-                          deterministic, wall)
-    _emit(report, json_path,
-          f"not definable: arity-{res.violator.arity} polymorphism "
-          f"{list(res.violator.table)} moves {list(res.selection)} outside")
-    sys.exit(EXIT_NEGATIVE)
+    _decide("ppdef", inputs, body, max_arity=max_arity, **common)
 
 
-@main.command()
+@decision
 @click.argument("clone_file", type=click.Path(exists=True))
 @click.option("--target", "target_path", type=click.Path(exists=True),
               required=True, help="Structure to color by.")
 @click.option("--strong", is_flag=True, help="Pin generators to their indices.")
-@common_options
-def color(clone_file, target_path, strong, json_path, budget_nodes, budget_ms,
-          parallel, deterministic, config_path):
+def color(clone_file, target_path, strong, **common):
     """Search for a (strong) coloring of a generated clone by a structure."""
     gen = _read_clone(clone_file)
     b = _read_structure(target_path)
-    budget, echo = _budget(budget_nodes, budget_ms, parallel, deterministic,
-                           config_path)
-    echo["strong"] = strong
-    t0 = time.monotonic()
 
-    def body():
+    def body(budget):
         free = free_structure(gen, b, budget)
-        return free, find_coloring(free, strong=strong, budget=budget)
+        res = find_coloring(free, strong=strong, budget=budget)
+        if res.found:
+            certs = {"free": free_to_dict(free),
+                     "coloring": coloring_to_dict(res.coloring)}
+            return _searched(res, "found", certs,
+                             f"coloring found: {list(res.coloring.map)}")
+        if res.outcome is Outcome.REFUTED:
+            certs = {"refutation_digest": refutation_digest(free, res.nodes)}
+            return _searched(res, "refuted", certs,
+                             ("no strong coloring" if strong else "no coloring") +
+                             f" (exhaustive refutation, {res.nodes} nodes)")
+        return _searched(res)
 
-    free, res = _run(body)
-    wall = (time.monotonic() - t0) * 1000
     inputs = {"clone": clone_to_dict(gen), "target": structure_to_dict(b)}
-    if res.found:
-        certs = {"free": free_to_dict(free),
-                 "coloring": coloring_to_dict(res.coloring)}
-        report = build_report("color", echo, inputs, "found", certs, res.nodes,
-                              deterministic, wall)
-        _emit(report, json_path,
-              f"coloring found: {list(res.coloring.map)}")
-        sys.exit(EXIT_OK)
-    if res.outcome is Outcome.REFUTED:
-        certs = {"refutation_digest": refutation_digest(free, res.nodes)}
-        report = build_report("color", echo, inputs, "refuted", certs,
-                              res.nodes, deterministic, wall)
-        _emit(report, json_path,
-              ("no strong coloring" if strong else "no coloring") +
-              f" (exhaustive refutation, {res.nodes} nodes)")
-        sys.exit(EXIT_NEGATIVE)
-    report = build_report("color", echo, inputs, "budget", {}, res.nodes,
-                          deterministic, wall)
-    _emit(report, json_path, "inconclusive: budget exhausted")
-    sys.exit(EXIT_INCONCLUSIVE)
+    _decide("color", inputs, body, strong=strong, **common)
 
 
-@main.command()
+@decision
 @click.argument("structure_file", type=click.Path(exists=True))
 @click.option("--target", "target_path", type=click.Path(exists=True),
               required=True, help="Target structure B.")
-@common_options
-def h1(structure_file, target_path, json_path, budget_nodes, budget_ms,
-       parallel, deterministic, config_path):
+def h1(structure_file, target_path, **common):
     """Does an h1 clone homomorphism Pol(SOURCE) -> Pol(TARGET) exist?"""
     a = _read_structure(structure_file)
     b = _read_structure(target_path)
-    budget, echo = _budget(budget_nodes, budget_ms, parallel, deterministic,
-                           config_path)
-    t0 = time.monotonic()
-    res = _run(lambda: h1_homomorphism_exists(a, b, budget))
-    wall = (time.monotonic() - t0) * 1000
+
+    def body(budget):
+        res = h1_homomorphism_exists(a, b, budget)
+        if res.found:
+            certs = {"free": free_to_dict(res.free),
+                     "coloring": coloring_to_dict(res.coloring),
+                     "induced": [operation_to_dict(op) for op in res.induced]}
+            return _searched(res, "exists", certs, "h1 clone homomorphism "
+                             f"exists; coloring {list(res.coloring.map)}")
+        if res.outcome is Outcome.REFUTED:
+            certs = {"refutation_digest": refutation_digest(res.free, res.nodes)}
+            return _searched(res, "not-exists", certs,
+                             "no h1 clone homomorphism (exhaustive refutation)")
+        return _searched(res)
+
     inputs = {"structure": structure_to_dict(a), "target": structure_to_dict(b)}
-    if res.found:
-        certs = {"free": free_to_dict(res.free),
-                 "coloring": coloring_to_dict(res.coloring),
-                 "induced": [operation_to_dict(op) for op in res.induced]}
-        report = build_report("h1", echo, inputs, "exists", certs, res.nodes,
-                              deterministic, wall)
-        _emit(report, json_path,
-              f"h1 clone homomorphism exists; coloring {list(res.coloring.map)}")
-        sys.exit(EXIT_OK)
-    if res.outcome is Outcome.REFUTED:
-        certs = {"refutation_digest": refutation_digest(res.free, res.nodes)}
-        report = build_report("h1", echo, inputs, "not-exists", certs,
-                              res.nodes, deterministic, wall)
-        _emit(report, json_path, "no h1 clone homomorphism (exhaustive refutation)")
-        sys.exit(EXIT_NEGATIVE)
-    report = build_report("h1", echo, inputs, "budget", {}, res.nodes,
-                          deterministic, wall)
-    _emit(report, json_path, "inconclusive: budget exhausted")
-    sys.exit(EXIT_INCONCLUSIVE)
+    _decide("h1", inputs, body, **common)
 
 
-@main.command()
+@decision
 @click.argument("clone_file", type=click.Path(exists=True))
 @click.option("--test", "which", type=click.Choice(["n-perm", "modular", "hm-chain"]),
               required=True, help="Which Maltsev condition to test.")
 @click.option("--n", "n_value", type=int, default=None,
               help="Chain length parameter for hm-chain (>= 2).")
-@common_options
-def maltsev(clone_file, which, n_value, json_path, budget_nodes, budget_ms,
-            parallel, deterministic, config_path):
+def maltsev(clone_file, which, n_value, **common):
     """Test congruence n-permutability / modularity of a generated clone."""
     gen = _read_clone(clone_file)
-    budget, echo = _budget(budget_nodes, budget_ms, parallel, deterministic,
-                           config_path)
-    echo["test"] = which
     inputs = {"clone": clone_to_dict(gen)}
-    t0 = time.monotonic()
     if which == "hm-chain":
         if n_value is None or n_value < 2:
             _fail(EXIT_PARSE, "hm-chain needs --n >= 2")
-        echo["n"] = n_value
-        res = _run(lambda: find_hagemann_mitschke(gen, n_value, budget))
-        wall = (time.monotonic() - t0) * 1000
-        if res.found:
-            certs = {"chain": chain_to_dict(res.chain)}
-            report = build_report("maltsev", echo, inputs, "found", certs, 0,
-                                  deterministic, wall)
-            _emit(report, json_path,
-                  f"chain found: {[list(op.table) for op in res.chain.ops]}")
-            sys.exit(EXIT_OK)
-        report = build_report("maltsev", echo, inputs, "none", {}, 0,
-                              deterministic, wall)
-        _emit(report, json_path, f"no chain of length {n_value - 1}")
-        sys.exit(EXIT_NEGATIVE)
+
+        def chain_body(budget):
+            res = find_hagemann_mitschke(gen, n_value, budget)
+            if res.found:
+                return ("found", {"chain": chain_to_dict(res.chain)}, 0,
+                        f"chain found: {[list(op.table) for op in res.chain.ops]}",
+                        EXIT_OK)
+            return ("none", {}, 0, f"no chain of length {n_value - 1}",
+                    EXIT_NEGATIVE)
+
+        _decide("maltsev", inputs, chain_body, test=which, n=n_value, **common)
 
     run = is_n_permutable_somewhere if which == "n-perm" else is_congruence_modular
-    res = _run(lambda: run(gen, budget))
-    wall = (time.monotonic() - t0) * 1000
-    if res.holds is None:
-        report = build_report("maltsev", echo, inputs, "inconclusive", {},
-                              res.coloring.nodes, deterministic, wall)
-        _emit(report, json_path, "inconclusive: budget exhausted")
-        sys.exit(EXIT_INCONCLUSIVE)
-    if res.holds:
-        certs = {"refutation_digest": refutation_digest(res.free,
-                                                        res.coloring.nodes)}
-        if res.chain is not None:
-            certs["chain"] = chain_to_dict(res.chain)
-        report = build_report("maltsev", echo, inputs, "holds", certs,
-                              res.coloring.nodes, deterministic, wall)
-        extra = ""
-        if res.chain is not None:
-            extra = f"; chain at n={res.chain.n}"
-        _emit(report, json_path, f"{res.condition}: holds "
-                                 f"(no strong coloring){extra}")
-        sys.exit(EXIT_OK)
-    certs = {"coloring": coloring_to_dict(res.coloring.coloring),
-             "free": free_to_dict(res.free)}
-    report = build_report("maltsev", echo, inputs, "fails", certs,
-                          res.coloring.nodes, deterministic, wall)
-    labels = DAY_LABELS if res.free.b.size == 4 else ("0", "1")
-    colored = [labels[v] for v in res.coloring.coloring.map]
-    _emit(report, json_path,
-          f"{res.condition}: fails; strong coloring {colored}")
-    sys.exit(EXIT_NEGATIVE)
+
+    def body(budget):
+        res = run(gen, budget)
+        nodes = res.coloring.nodes
+        if res.holds is None:
+            return ("inconclusive", {}, nodes, "inconclusive: budget exhausted",
+                    EXIT_INCONCLUSIVE)
+        if res.holds:
+            certs = {"refutation_digest": refutation_digest(res.free, nodes)}
+            extra = ""
+            if res.chain is not None:
+                certs["chain"] = chain_to_dict(res.chain)
+                extra = f"; chain at n={res.chain.n}"
+            return ("holds", certs, nodes,
+                    f"{res.condition}: holds (no strong coloring){extra}", EXIT_OK)
+        certs = {"coloring": coloring_to_dict(res.coloring.coloring),
+                 "free": free_to_dict(res.free)}
+        labels = DAY_LABELS if res.free.b.size == 4 else ("0", "1")
+        colored = [labels[v] for v in res.coloring.coloring.map]
+        return ("fails", certs, nodes,
+                f"{res.condition}: fails; strong coloring {colored}", EXIT_NEGATIVE)
+
+    _decide("maltsev", inputs, body, test=which, **common)
 
 
 @main.command()

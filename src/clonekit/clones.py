@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .search import Csp, Outcome, SearchBudget, parallel_solve
+from .search import CrossCheckError, Csp, Outcome, SearchBudget
 from .structures import CapacityError, RelStructure, TupleCoding
 
 # Table-cell capacity: domain_size ** arity must stay under this.
@@ -453,11 +453,8 @@ def find_operation_satisfying(a: RelStructure, system: H1IdentitySystem,
                     scope.append(cell_var[base + idx])
                 csp.add_constraint(scope, rel, key=rel_name)
 
-    if budget is not None and budget.parallel_width > 1:
-        outcome, sol, nodes = parallel_solve(csp, budget)
-    else:
-        outcome, sol = csp.solve(budget=budget)
-        nodes = csp.nodes_explored
+    outcome, sol = csp.solve(budget=budget)
+    nodes = csp.nodes_explored
     if outcome is not Outcome.FOUND:
         return OpSearchResult(outcome, nodes=nodes)
     assignment = {}
@@ -466,8 +463,10 @@ def find_operation_satisfying(a: RelStructure, system: H1IdentitySystem,
         table = tuple(sol[cell_var[base + i]] for i in range(d**arity))
         assignment[name] = OperationTable(d, arity, table)
     # independent re-verification of the certificate
-    assert satisfies_system(assignment, system)
-    assert all(is_polymorphism(op, a) for op in assignment.values())
+    if not satisfies_system(assignment, system):
+        raise CrossCheckError("found operations do not satisfy the identities")
+    if not all(is_polymorphism(op, a) for op in assignment.values()):
+        raise CrossCheckError("found operation is not a polymorphism")
     return OpSearchResult(Outcome.FOUND, assignment, nodes)
 
 

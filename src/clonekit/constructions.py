@@ -23,7 +23,7 @@ from .clones import (
     preserves,
 )
 from .homs import HomMap, hom_equivalent
-from .search import BudgetExceededError, Csp, Outcome, SearchBudget
+from .search import BudgetExceededError, CrossCheckError, Csp, Outcome, SearchBudget
 from .structures import (
     DEFAULT_POWER_CAP,
     CapacityError,
@@ -284,8 +284,10 @@ def is_pp_definable(a: RelStructure, rel: Iterable[Sequence[int]], arity: int,
                 raise BudgetExceededError("pp-definability budget exhausted")
             if outcome is Outcome.FOUND:
                 f = OperationTable(d, n, sol)
-                assert is_polymorphism(f, a)
-                assert not preserves(f, tuples)
+                if not is_polymorphism(f, a):
+                    raise CrossCheckError("violator is not a polymorphism")
+                if preserves(f, tuples):
+                    raise CrossCheckError("violator preserves the relation")
                 return PPDefResult(False, True, n, f, sel)
     return PPDefResult(True, limit >= m, limit)
 

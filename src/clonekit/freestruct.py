@@ -29,12 +29,8 @@ from .clones import (
     projection,
 )
 from .homs import find_homomorphism
-from .search import BudgetExceededError, Outcome, SearchBudget
+from .search import BudgetExceededError, CrossCheckError, Outcome, SearchBudget
 from .structures import CapacityError, RelStructure
-
-
-class CrossCheckError(RuntimeError):
-    """Two independent oracles disagreed; indicates an internal bug."""
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,10 @@ def _closure_packed(seeds, carrier, index, generators, k, width):
     frontier = current.copy()
     binary = [g for g in generators if g.arity == 2]
     other = [g for g in generators if g.arity not in (0, 2)]
-    chunk = 256
+    # frontier rows per outer product: 64 x a few thousand packed tuples keeps
+    # each temporary under 4 MB, so peak memory stays low wherever the
+    # allocator places the temporaries
+    chunk = 64
     while frontier.size:
         if current.size > DEFAULT_TABLE_CAP:
             raise CapacityError("lifted relation exceeds the size cap")
@@ -310,7 +309,8 @@ def find_coloring(free: FreeStructure, strong: bool = False,
     if res.outcome is not Outcome.FOUND:
         return ColoringResult(res.outcome, nodes=res.nodes)
     coloring = Coloring(res.witness.map, strong)
-    assert verify_coloring(free, coloring)
+    if not verify_coloring(free, coloring):
+        raise CrossCheckError("found map is not a coloring")
     return ColoringResult(Outcome.FOUND, coloring, res.nodes)
 
 
@@ -379,7 +379,8 @@ def h1_homomorphism_exists(a: RelStructure, b: RelStructure,
     members = clone_members_to_arity(a, induce_arity, budget, cap)
     induced = tuple(induced_operations(free, res.coloring, members))
     for op in induced:
-        assert is_polymorphism(op, b), "induced operation is not a polymorphism"
+        if not is_polymorphism(op, b):
+            raise CrossCheckError("induced operation is not a polymorphism")
     return H1Result(Outcome.FOUND, free, res.coloring, induced, res.nodes)
 
 

@@ -16,10 +16,10 @@ from typing import Iterator, Mapping, Sequence
 
 from .search import (
     BudgetExceededError,
+    CrossCheckError,
     Csp,
     Outcome,
     SearchBudget,
-    parallel_solve,
 )
 from .structures import RelStructure
 
@@ -128,16 +128,13 @@ def find_homomorphism(c: RelStructure, a: RelStructure,
     """
     budget = budget or SearchBudget()
     csp = hom_csp(c, a, pins)
-    if budget.parallel_width > 1:
-        outcome, sol, nodes = parallel_solve(csp, budget)
-    else:
-        outcome, sol = csp.solve(budget=budget)
-        nodes = csp.nodes_explored
+    outcome, sol = csp.solve(budget=budget)
     witness = None
     if outcome is Outcome.FOUND:
         witness = HomMap(c.size, a.size, sol)
-        assert is_hom(witness, c, a)
-    return HomResult(outcome, witness, nodes)
+        if not is_hom(witness, c, a):
+            raise CrossCheckError("found map is not a homomorphism")
+    return HomResult(outcome, witness, csp.nodes_explored)
 
 
 def all_homomorphisms(c: RelStructure, a: RelStructure,
@@ -256,9 +253,10 @@ def core_of(a: RelStructure, budget: SearchBudget | None = None) -> CoreResult:
                 break
     # exhaustive verification: the result has no non-injective endomorphism
     if _shrink_once(current, budget) is not None:
-        raise AssertionError("internal error: computed retract is not a core")
+        raise CrossCheckError("internal error: computed retract is not a core")
     hom = HomMap(a.size, m, tuple(retraction))
-    assert is_hom(hom, a, current)
+    if not is_hom(hom, a, current):
+        raise CrossCheckError("retraction is not a homomorphism onto the core")
     return CoreResult(current, hom, tuple(subset))
 
 

@@ -23,7 +23,7 @@ from .clones import (
     projection,
 )
 from .freestruct import ColoringResult, FreeStructure, find_coloring, free_structure
-from .search import Outcome, SearchBudget
+from .search import CrossCheckError, Outcome, SearchBudget
 from .structures import RelStructure
 
 DAY_LABELS = ("1", "2", "3", "4")
@@ -117,7 +117,8 @@ def find_hagemann_mitschke(target, n: int,
         if not res.found:
             return HMSearchResult(res.outcome)
         chain = HMChain(n, tuple(res.assignment[f"p{i}"] for i in range(1, n)))
-        assert verify_hm_chain(chain)
+        if not verify_hm_chain(chain):
+            raise CrossCheckError("found chain fails the Hagemann-Mitschke identities")
         return HMSearchResult(Outcome.FOUND, chain)
     if not isinstance(target, CloneGenSet):
         raise TypeError("expected a RelStructure or CloneGenSet")
@@ -152,7 +153,8 @@ def find_hagemann_mitschke(target, n: int,
     if ops is None:
         return HMSearchResult(Outcome.REFUTED)
     chain = HMChain(n, tuple(ops))
-    assert verify_hm_chain(chain)
+    if not verify_hm_chain(chain):
+        raise CrossCheckError("found chain fails the Hagemann-Mitschke identities")
     return HMSearchResult(Outcome.FOUND, chain)
 
 

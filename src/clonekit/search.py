@@ -12,10 +12,8 @@ solution enumeration lexicographic).
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -31,8 +29,8 @@ class BudgetExceededError(RuntimeError):
     """Search stopped by node or time limit; not a refutation."""
 
 
-class CancelledError(RuntimeError):
-    """Another worker already produced the answer (parallel mode only)."""
+class CrossCheckError(RuntimeError):
+    """A certificate failed its re-check or two oracles disagreed: an internal bug."""
 
 
 @dataclass(frozen=True)
@@ -40,24 +38,17 @@ class SearchBudget:
     """Resource limits for one search call.
 
     Exhaustion is reported as Outcome.BUDGET, never conflated with a
-    completed refutation.  ``parallel_width`` > 1 lets callers split the
-    root branching factor across worker threads; with ``deterministic``
-    (the default) workers run to completion and the lexicographically
-    least witness found is returned.
+    completed refutation.
     """
 
     node_limit: int | None = None
     time_limit_ms: float | None = None
-    parallel_width: int = 1
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.node_limit is not None and self.node_limit < 1:
             raise ValueError("node_limit must be positive")
         if self.time_limit_ms is not None and self.time_limit_ms <= 0:
             raise ValueError("time_limit_ms must be positive")
-        if self.parallel_width < 1:
-            raise ValueError("parallel_width must be positive")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -178,25 +169,6 @@ class Csp:
         self._var_bins[x].append(idx)
         self._var_bins[y].append(idx)
 
-    def restricted_copy(self, var: int, values: Iterable[int]) -> "Csp":
-        """Clone sharing the (immutable) constraint tables, with one domain cut."""
-        other = Csp.__new__(Csp)
-        other.nvars = self.nvars
-        other.domain_size = self.domain_size
-        other.full_mask = self.full_mask
-        other.dom = list(self.dom)
-        other._bin_pairs = self._bin_pairs
-        other._bin_ends = self._bin_ends
-        other._bin_sup = self._bin_sup
-        other._var_bins = self._var_bins
-        other._nary = self._nary
-        other._var_narys = self._var_narys
-        other._seen_keys = set()
-        other._failed = self._failed
-        other.nodes_explored = 0
-        other.restrict(var, values)
-        return other
-
     # -- propagation ---------------------------------------------------------
 
     def _propagate(self, dom: list[int], dirty_vars) -> bool:
@@ -268,10 +240,10 @@ class Csp:
 
     # -- search ----------------------------------------------------------------
 
-    def solve(self, budget: SearchBudget | None = None, order: str = "mindom",
-              stop_check=None) -> tuple[Outcome, tuple[int, ...] | None]:
+    def solve(self, budget: SearchBudget | None = None,
+              order: str = "mindom") -> tuple[Outcome, tuple[int, ...] | None]:
         """First solution or refutation.  Node count in ``self.nodes_explored``."""
-        it = self.solutions(budget=budget, order=order, stop_check=stop_check)
+        it = self.solutions(budget=budget, order=order)
         try:
             sol = next(it)
         except StopIteration:
@@ -281,8 +253,8 @@ class Csp:
         it.close()
         return Outcome.FOUND, sol
 
-    def solutions(self, budget: SearchBudget | None = None, order: str = "mindom",
-                  stop_check=None) -> Iterator[tuple[int, ...]]:
+    def solutions(self, budget: SearchBudget | None = None,
+                  order: str = "mindom") -> Iterator[tuple[int, ...]]:
         """Yield all solutions; lexicographic when order='index'.
 
         Raises BudgetExceededError when limits run out mid-enumeration.
@@ -351,49 +323,8 @@ class Csp:
                 if deadline is not None and time.monotonic() > deadline:
                     self.nodes_explored = nodes
                     raise BudgetExceededError("time limit exceeded")
-                if stop_check is not None and stop_check():
-                    self.nodes_explored = nodes
-                    raise CancelledError()
             child = list(base)
             child[var] = low
             if self._propagate(child, (var,)):
                 cur = child
 
-
-def parallel_solve(csp: Csp, budget: SearchBudget):
-    """Split the root branching factor across worker threads.
-
-    Returns (outcome, witness, total nodes).  With ``deterministic`` every
-    worker runs its slice to completion and the lexicographically least
-    witness wins; otherwise the first winner cancels the rest.
-    """
-    root = next((v for v in range(csp.nvars) if csp.dom[v] & (csp.dom[v] - 1)), None)
-    if root is None:
-        outcome, sol = csp.solve(budget=budget)
-        return outcome, sol, csp.nodes_explored
-    values = [v for v in range(csp.domain_size) if csp.dom[root] >> v & 1]
-    width = min(budget.parallel_width, len(values))
-    slices = [values[i::width] for i in range(width)]
-    stop = threading.Event()
-    deterministic = budget.deterministic
-
-    def run(slice_values):
-        sub = csp.restricted_copy(root, slice_values)
-        check = None if deterministic else stop.is_set
-        try:
-            outcome, sol = sub.solve(budget=budget, stop_check=check)
-        except CancelledError:
-            return Outcome.REFUTED, None, sub.nodes_explored, True
-        if outcome is Outcome.FOUND and not deterministic:
-            stop.set()
-        return outcome, sol, sub.nodes_explored, False
-
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        results = list(pool.map(run, slices))
-    nodes = sum(r[2] for r in results)
-    found = sorted(r[1] for r in results if r[0] is Outcome.FOUND)
-    if found:
-        return Outcome.FOUND, found[0], nodes
-    if any(r[0] is Outcome.BUDGET or r[3] for r in results):
-        return Outcome.BUDGET, None, nodes
-    return Outcome.REFUTED, None, nodes

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -257,3 +259,137 @@ def test_reports_identical_across_processes(files, tmp_path):
         assert proc.returncode == 3, proc.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--budget-nodes", "0"], None),
+    (["--budget-ms", "-5"], None),
+    (["--parallel", "-1"], None),
+    ([], "budget-nodes = 0\n"),
+], ids=["budget-nodes", "budget-ms", "parallel", "config"])
+def test_bad_budget_is_a_parse_error(runner, files, tmp_path, flags, config):
+    if config is not None:
+        cfg = tmp_path / "cfg"
+        cfg.write_text(config)
+        flags = ["--config", str(cfg)]
+    res = runner.invoke(main, ["hom", files["path3"], files["path3"], *flags])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert "error: bad budget" in res.output
+
+
+def test_usage_errors_exit_1(runner, files):
+    # exit 2 means capacity exceeded, so click's usage errors exit 1
+    cases = [
+        (["hom", files["le"], files["tmp"] + "/missing.json"], "does not exist"),
+        (["poly", files["le"]], "Missing option '--arity'"),
+        (["maltsev", files["minority"], "--test", "bogus"], "Invalid value for '--test'"),
+        (["bogus-command"], "No such command"),
+        (["--bogus-flag"], "No such option"),
+    ]
+    for argv, message in cases:
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 1, (argv, res.output)
+        assert message in res.output
+
+
+# Every decision command on small fixtures: exit code and sha256 of the
+# --json report bytes (None where the command writes no report).  The
+# digests pin the deterministic report bytes across refactors of the CLI.
+GOLDEN = [
+    ("classify-taylor", ["classify", "{rxor}"], 0,
+     "9b618f0b2dc90169db655c551daf704bfd7789e82720cf2e410cf7d4aae6f86e"),
+    ("classify-hardness", ["classify", "{k3s}"], 3,
+     "a95a73cee24d5f3e144cc3ddb383231cce6e9257a65ccf66f10f45129359721e"),
+    ("classify-budget", ["classify", "{le}", "--budget-nodes", "1"], 4,
+     "9641a4db15371da48b83d0a86870dd2469d2be6e3b5088217633ee945e5038de"),
+    ("classify-config", ["classify", "{le}", "--config", "{cfg}"], 4,
+     "9641a4db15371da48b83d0a86870dd2469d2be6e3b5088217633ee945e5038de"),
+    ("classify-parse", ["classify", "{bad}"], 1, None),
+    ("hom-found", ["hom", "{path3}", "{k2}"], 0,
+     "f024a9f4635581ed1517d8928bb3390bf84ff94f43b5340716b3bf3c345cdcee"),
+    # --parallel 0 counts as 1, so the report equals hom-found's
+    ("hom-parallel-zero", ["hom", "{path3}", "{k2}", "--parallel", "0"], 0,
+     "f024a9f4635581ed1517d8928bb3390bf84ff94f43b5340716b3bf3c345cdcee"),
+    ("hom-refuted", ["hom", "{k3}", "{k2}"], 3,
+     "d7dff1d31fb55254658d9232bbee76ca43481d86ce774b833d6106542b32d0c5"),
+    ("hom-budget", ["hom", "{k3}", "{k3}", "--budget-nodes", "1"], 4,
+     "ea82748bf0165cae4c63465cb3276f43122dc1ec1c02be420bd756f505181f33"),
+    ("hom-parallel", ["hom", "{hepp_b}", "{hepp_ap}", "--parallel", "2"], 0,
+     "504222b72be3306ccbcb5fddd8432c363b9591b6c2607022f1be1b6312b131be"),
+    ("hom-signature", ["hom", "{path3}", "{le2}"], 1, None),
+    ("homeq-found", ["homeq", "{hepp_ap}", "{hepp_b}"], 0,
+     "834beac27144adb584cdf07fd180623ce55c841f4540538d24f87a2f8a44795e"),
+    ("homeq-refuted", ["homeq", "{k3}", "{k2}"], 3,
+     "309b899440e71de8550fa2034633e9fbec3cca521b820522bd153bf6de457086"),
+    ("homeq-budget", ["homeq", "{k3}", "{k3}", "--budget-nodes", "1"], 4,
+     "86d8ac3735f8a73c81048905e5f1bb3cbde61898c25cabef7f0d2c14a493dbc9"),
+    ("core-path3", ["core", "{path3}"], 0,
+     "5751ebf805bbdaa5f8d585c6fc1a5df48deb0bb349adbb19a1cf1e005c50c416"),
+    ("core-k3s", ["core", "{k3s}"], 0,
+     "3a92f35ca0c5b5339a1d1c3e3cb9b0495cccd19c08c9cba5969a566d8d8e5974"),
+    ("poly", ["poly", "--arity", "2", "{le}"], 0,
+     "7d0baaa194522efbe6b7b97bbb50b4ada0c1ac49ce5b8b50cbc6b51ac9d71f8b"),
+    ("poly-budget", ["poly", "--arity", "3", "{rxor}", "--budget-nodes", "1"], 4, None),
+    ("pp", ["pp", "{le}", "--spec", "{spec}"], 0,
+     "5f7cb450497c088ad0e869d3d031ea5f2e276a00e363ab5edab09fdf72aa94b8"),
+    ("ppdef-definable", ["ppdef", "{le}", "--target", "{lerel}"], 0,
+     "04d4b963a6785f6d53507283bf5c7d98fe68f51297988ca0b4e10980546a1746"),
+    ("ppdef-violator", ["ppdef", "{le}", "--target", "{diseq}"], 3,
+     "663a7a69ae740268e19b0a6510e5f576a28627ef072e6e5bdcd48c6b9e1ebb3a"),
+    ("color-found", ["color", "--target", "{le2}", "{minority}"], 0,
+     "658af7251489c6ede3c2e821545cce10c0fda474781eebb026a31265cab35d45"),
+    ("color-refuted", ["color", "--strong", "--target", "{le2}", "{minority}"], 3,
+     "3921dd45fa1ececb307729639578d63f3a0e80493633d0837b649381b4556337"),
+    ("color-budget", ["color", "--target", "{le2}", "{proj}", "--budget-nodes", "1"], 4,
+     "9c78980285414e5a89d681605d03bdf15073fcd226e6ea698d317272d1654ff4"),
+    ("h1-exists", ["h1", "{rxor}", "--target", "{rxor}"], 0,
+     "88b1db85f8deb8fe15ba9e438f9857111facd56cfea3b9870d9b2cabc12f6d42"),
+    ("h1-refuted", ["h1", "{le}", "--target", "{rxor}"], 3,
+     "c2406c1cbb2f8d7d59b916ddb845b37b775b6e96689093ae30c3942e8d8ed1be"),
+    ("h1-budget", ["h1", "{rxor}", "--target", "{rxor}", "--budget-nodes", "1"], 4, None),
+    ("nperm-holds", ["maltsev", "{minority}", "--test", "n-perm"], 0,
+     "256e5889ed29a2378ca266397e6205d4e0ecd195087f4173b618614b059ceede"),
+    ("nperm-fails", ["maltsev", "{min}", "--test", "n-perm"], 3,
+     "8b2b4f3f16e7b6100a0c5475500246534e221f573bf86b682b9824caab795bc8"),
+    ("modular-holds", ["maltsev", "{minority}", "--test", "modular"], 0,
+     "b8ba8317a243621fdfaff5299fffcd3da4d76e23228968c746e37bd339f90ed7"),
+    ("modular-fails", ["maltsev", "{proj}", "--test", "modular"], 3,
+     "e2905d46f9135aefbf6e54c03ca45ec1e15db6ed50637ff1fa2f191b1e0e3977"),
+    ("hm-chain-found", ["maltsev", "{minority}", "--test", "hm-chain", "--n", "2"], 0,
+     "15358c45f522eea889597f8774d483b11e5eb4b8f6449f02fe47cf1fc90ff566"),
+    ("hm-chain-none", ["maltsev", "{min}", "--test", "hm-chain", "--n", "3"], 3,
+     "e1bd185e68c3415a78b5cd3680914c459febf2371fc7d73e8e565c0e1f5b5c77"),
+    ("hm-chain-parse", ["maltsev", "{minority}", "--test", "hm-chain", "--n", "1"], 1, None),
+]
+
+
+@pytest.fixture
+def golden_files(files, k2, k3):
+    tmp = Path(files["tmp"])
+    paths = dict(files)
+    texts = {
+        "k2": serialize_structure(k2),
+        "k3": serialize_structure(k3),
+        "min": json.dumps({"domain_size": 2, "operations": [
+            {"domain_size": 2, "arity": 2, "table": [0, 0, 0, 1]}]}),
+        "proj": json.dumps({"domain_size": 2, "operations": []}),
+        "lerel": '{"arity": 2, "tuples": [[0,0],[0,1],[1,1]]}',
+        "bad": "size 2; le/2 = {(0,0) oops};",
+        "cfg": "budget-nodes = 1\n",
+    }
+    for name, text in texts.items():
+        (tmp / f"{name}.golden").write_text(text)
+        paths[name] = str(tmp / f"{name}.golden")
+    return paths
+
+
+@pytest.mark.parametrize("argv, code, digest", [case[1:] for case in GOLDEN],
+                         ids=[case[0] for case in GOLDEN])
+def test_decision_reports_pinned(runner, golden_files, argv, code, digest):
+    out = Path(golden_files["tmp"]) / "golden-report.json"
+    args = [a.format(**golden_files) for a in argv] + ["--json", str(out)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == code, res.output
+    got = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+    assert got == digest

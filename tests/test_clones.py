@@ -259,16 +259,6 @@ def test_satisfies_system_rejects_bad_assignment():
     assert not satisfies_system({"t": projection(2, 2, 1)}, sys)
 
 
-def test_identity_search_parallel_agrees(le_struct, k3s):
-    wide = SearchBudget(parallel_width=3)
-    for a in (le_struct, k3s):
-        seq = has_siggers(a)
-        par = has_siggers(a, wide)
-        assert seq.outcome == par.outcome
-        if par.found:
-            assert is_polymorphism(par.assignment["t"], a)
-
-
 def test_identity_search_matches_brute_force_on_random_systems():
     # two binary symbols over random two-element structures: the joint
     # search space is small enough to enumerate outright

@@ -1,5 +1,6 @@
 import pytest
 
+import clonekit.maltsev
 from clonekit import (
     CloneGenSet,
     Outcome,
@@ -13,6 +14,7 @@ from clonekit import (
     is_n_permutable_somewhere,
     verify_hm_chain,
 )
+from clonekit.freestruct import CrossCheckError
 from clonekit.maltsev import HMChain, hagemann_mitschke_system
 
 from conftest import MIN2, MINORITY
@@ -136,3 +138,9 @@ def test_strong_coloring_stable_under_relabeling_lattice(lattice_clone):
 def test_boolean_order_fixture():
     b = boolean_order()
     assert b.relations["le"] == ((0, 0), (0, 1), (1, 1))
+
+
+def test_failed_chain_check_raises_cross_check_error(monkeypatch):
+    monkeypatch.setattr(clonekit.maltsev, "verify_hm_chain", lambda chain: False)
+    with pytest.raises(CrossCheckError):
+        find_hagemann_mitschke(CloneGenSet.of(2, [MINORITY]), 2)
