@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .search import CrossCheckError, Csp, Outcome, SearchBudget
@@ -60,6 +62,16 @@ def projection(domain_size: int, n: int, i: int) -> OperationTable:
                           tuple(vec[i - 1] for vec in coding.all_vectors()))
 
 
+def shifted_codes(d: int, tables: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:
+    """Per cell, d times the code of the argument vector read from ``tables``
+    (first table most significant).  Adding one more table's cell gives the
+    code with that table as the last argument; with no tables it is all 0."""
+    codes = (0,) * width
+    for t in tables:
+        codes = tuple(map(mul, map(add, codes, t), repeat(d)))
+    return codes
+
+
 def compose(f: OperationTable, gs: Sequence[OperationTable]) -> OperationTable:
     """The pointwise composition f(g_1, ..., g_n)."""
     if len(gs) != f.arity:
@@ -71,15 +83,9 @@ def compose(f: OperationTable, gs: Sequence[OperationTable]) -> OperationTable:
     for g in gs:
         if g.domain_size != d or g.arity != m:
             raise ValueError("inner operations must share domain and arity")
-    ft = f.table
-    tabs = [g.table for g in gs]
-    out = []
-    for x in range(d**m):
-        idx = 0
-        for t in tabs:
-            idx = idx * d + t[x]
-        out.append(ft[idx])
-    return OperationTable(d, m, tuple(out))
+    *head, last = (g.table for g in gs)
+    codes = map(add, shifted_codes(d, head, d**m), last)
+    return OperationTable(d, m, tuple(map(f.table.__getitem__, codes)))
 
 
 def preserves(f: OperationTable, tuples: Iterable[Sequence[int]]) -> bool:
@@ -173,45 +179,64 @@ class CloneGenSet:
     def of(domain_size: int, gens: Iterable[OperationTable]) -> "CloneGenSet":
         return CloneGenSet(domain_size, tuple(gens))
 
+    def acting(self) -> tuple[OperationTable, ...]:
+        """The generators with each 0-ary one replaced by its unary constant,
+        which acts the same on members of positive arity."""
+        d = self.domain_size
+        return tuple(g if g.arity else OperationTable(d, 1, (g.table[0],) * d)
+                     for g in self.generators)
+
+
+def seminaive_pools(g: OperationTable, old: list, frontier: list, every: list) -> list:
+    """Argument pools for one semi-naive round of closing under ``g``.
+
+    Between them the pools give every combination of ``g.arity`` members
+    that holds a frontier member, once: position p takes the frontier,
+    earlier positions the old members and later positions all of them
+    (``every`` is old + frontier).  A commutative binary ``g`` needs only
+    frontier x all, since the mirrored combinations give the same results.
+    """
+    n, d, t = g.arity, g.domain_size, g.table
+    if n == 2 and all(t[x * d + y] == t[y * d + x] for x in range(d) for y in range(x)):
+        return [(frontier, every)]
+    return [[old] * p + [frontier] + [every] * (n - 1 - p) for p in range(n)]
+
 
 def generate_to_arity(gen: CloneGenSet, k: int, budget: SearchBudget | None = None,
                       cap: int = DEFAULT_TABLE_CAP) -> tuple[OperationTable, ...]:
     """All k-ary members of the generated clone, sorted by table.
 
-    Fixpoint: seed with the k-ary projections, repeatedly compose generators
-    with previously produced k-ary members.  ``cap`` bounds both the table
-    size and the number of generated members.
+    Fixpoint: seed with the k-ary projections, then in semi-naive rounds
+    compose each generator with the k-ary members produced so far, over
+    the combinations that hold a member new in the previous round.
+    ``cap`` bounds both the table size and the number of generated members.
     """
     d = gen.domain_size
-    if d**k > cap:
-        raise CapacityError(f"table with {d**k} cells exceeds cap {cap}")
+    width = d**k
+    if width > cap:
+        raise CapacityError(f"table with {width} cells exceeds cap {cap}")
     seen: dict[tuple[int, ...], OperationTable] = {}
     for i in range(1, k + 1):
         p = projection(d, k, i)
         seen[p.table] = p
-    frontier = list(seen.values())
+    old: list[tuple[int, ...]] = []
+    frontier = list(seen)
     while frontier:
         if len(seen) > cap:
             raise CapacityError(f"generated clone exceeds {cap} members at arity {k}")
-        frontier_tables = {f.table for f in frontier}
-        current = list(seen.values())
-        new: list[OperationTable] = []
-        for g in gen.generators:
-            if g.arity == 0:
-                tab = tuple([g.table[0]] * (d**k))
-                if tab not in seen:
-                    op = OperationTable(d, k, tab)
-                    seen[tab] = op
-                    new.append(op)
-                continue
-            for combo in itertools.product(current, repeat=g.arity):
-                if not any(c.table in frontier_tables for c in combo):
-                    continue
-                h = compose(g, combo)
-                if h.table not in seen:
-                    seen[h.table] = h
-                    new.append(h)
-        frontier = new
+        every = old + frontier
+        new: list[tuple[int, ...]] = []
+        for g in gen.acting():
+            look = g.table.__getitem__
+            for *heads, last in seminaive_pools(g, old, frontier, every):
+                for head in itertools.product(*heads):
+                    codes = shifted_codes(d, head, width)
+                    for arg in last:
+                        tab = tuple(map(look, map(add, codes, arg)))
+                        if tab not in seen:
+                            seen[tab] = OperationTable(d, k, tab)
+                            new.append(tab)
+        old, frontier = every, new
     return tuple(sorted(seen.values(), key=OperationTable.sort_key))
 
 

@@ -8,6 +8,13 @@ generator tuples under the same action.  A coloring is a homomorphism
 from the lifted structure back to B, so coloring search reuses the
 homomorphism engine with the lifted structure as source; strong colorings
 pin the generators to their own indices.
+
+One kernel closes the lifted relations of a generated clone, for any
+domain size and generator arity: each generator acts on the carrier
+through its Cayley table over carrier indices, built once, and
+semi-naive rounds apply it only to combinations that hold a new tuple.
+numpy serves only its block step on two-element domains, and is imported
+there on first use.
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import add, mul
 
 from .clones import (
     DEFAULT_TABLE_CAP,
@@ -27,6 +36,8 @@ from .clones import (
     has_siggers,
     is_polymorphism,
     projection,
+    seminaive_pools,
+    shifted_codes,
 )
 from .homs import find_homomorphism
 from .search import BudgetExceededError, CrossCheckError, Outcome, SearchBudget
@@ -81,145 +92,119 @@ def verify_coloring(free: FreeStructure, coloring: Coloring) -> bool:
     return True
 
 
-def _closure_of_tuples(seeds, carrier, index, generators):
-    """Close a set of carrier-index tuples under the componentwise action
-    of the generators.
+class _Memo(dict):
+    """A dict that fills a missing key with ``fill(key)``."""
 
-    On a two-element domain a k-tuple of tables packs into one integer and
-    any generator acts by a fixed bitwise formula, so binary generators can
-    be combined with the whole set through vectorized outer products.  The
-    generic path caches compositions at the carrier-index level.
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _digits(code: int, base: int, count: int) -> tuple[int, ...]:
+    """The ``count`` base-``base`` digits of ``code``, most significant first."""
+    out = []
+    for _ in range(count):
+        code, r = divmod(code, base)
+        out.append(r)
+    return tuple(reversed(out))
+
+
+def _cayley(g: OperationTable, tables, index, cap: int):
+    """Cayley table of ``g`` over the carrier: ``rows[h][j]`` is the carrier
+    index of g applied to the head arguments whose carrier indices, read as
+    base-|F| digits, give h, and to carrier element j last.  Filled lazily
+    from a memo when its |F|^arity cells exceed ``cap``."""
+    d, n, f, width = g.domain_size, g.arity, len(tables), len(tables[0])
+    look = g.table.__getitem__
+
+    def cells(head):  # the row of these head arguments, as a function of j
+        codes = shifted_codes(d, [tables[i] for i in head], width)
+        return lambda j: index[tuple(map(look, map(add, codes, tables[j])))]
+
+    if f**n <= cap:
+        return [list(map(cells(head), range(f)))
+                for head in itertools.product(range(f), repeat=n - 1)]
+    return _Memo(lambda h: _Memo(cells(_digits(h, f, n - 1))))
+
+
+# cells per gather of the numpy block step: temporaries well under a MB
+_BLOCK = 2**16
+
+
+def _apply_numpy(rows, pools, f: int, k: int, out: set):
+    """Add to ``out`` the code of T(t_1, ..., t_n) for every combination of
+    tuples t_p from ``pools[p]``, by gathers over outer products."""
+    import numpy as np
+
+    dtype = np.int32 if max(f**k, len(rows) * f) < 2**31 else np.int64
+    table = np.array(rows, dtype=dtype).reshape(-1)
+    # pools by coordinate: row j holds the j-th entries of the pool's tuples
+    *heads, last = (np.array(p, dtype=dtype).reshape(-1, k).T.copy() for p in pools)
+    head = np.zeros((k, 1), dtype=dtype)
+    for pool in heads:
+        head = (head[:, :, None] * f + pool[:, None, :]).reshape(k, -1)
+    head *= f  # offsets of the head combinations' rows in the flat table
+    mark = np.zeros(f**k, dtype=bool)
+    step = max(1, _BLOCK // max(1, last.shape[1]))
+    for s in range(0, head.shape[1], step):
+        code = table.take(np.add.outer(head[0, s:s + step], last[0]))
+        for j in range(1, k):
+            code *= f
+            code += table.take(np.add.outer(head[j, s:s + step], last[j]))
+        mark[code] = True
+    out.update(np.flatnonzero(mark).tolist())
+
+
+def _apply_python(rows, pools, f: int, k: int, out: set):
+    """Add to ``out`` the code of T(t_1, ..., t_n) for every combination of
+    tuples t_p from ``pools[p]``, a row lookup per last argument."""
+    *heads, last = pools
+    columns = [[t[j] for t in last] for j in range(k)]
+    for combo in itertools.product(*heads):
+        codes = None
+        for j, column in enumerate(columns):
+            h = 0
+            for t in combo:
+                h = h * f + t[j]
+            values = map(rows[h].__getitem__, column)
+            codes = values if codes is None else map(add, map(mul, codes, repeat(f)), values)
+        out.update(codes)
+
+
+def _closure_of_tuples(seeds, generators, cayleys, f: int, d: int, cap: int):
+    """Close a set of k-tuples of carrier indices under the componentwise
+    action of the generators, given their Cayley tables over the carrier.
+
+    Rounds are semi-naive: each applies the generators only to combinations
+    that hold a tuple new in the previous round.  Tuples are deduplicated
+    by their integer code over |F|^k.  On a two-element domain, when the
+    Cayley tables are filled and |F|^k codes fit under ``cap``, each block
+    step runs in numpy; otherwise in pure Python.
     """
     seeds = sorted(set(seeds))
     if not seeds:
         return ()
     k = len(seeds[0])
-    width = len(carrier[0].table)
-    d = carrier[0].domain_size
-    if d == 2 and k * width <= 64:
-        return _closure_packed(seeds, carrier, index, generators, k, width)
-    return _closure_generic(seeds, carrier, index, generators)
-
-
-def _packed_apply(g: OperationTable, args: list, full):
-    """Apply a Boolean operation to packed table fields, bitwise.
-
-    ``args`` may be ints or numpy arrays; the result has the same type.
-    g(x_1..x_n) = OR over rows a with g(a)=1 of AND_i (x_i or its complement).
-    """
-    res = None
-    for code, out in enumerate(g.table):
-        if not out:
-            continue
-        term = None
-        for i in range(g.arity):
-            a_i = code >> (g.arity - 1 - i) & 1
-            x = args[i] if a_i else args[i] ^ full
-            term = x if term is None else term & x
-        if term is None:  # 0-ary constant-1
-            term = full
-        res = term if res is None else res | term
-    if res is None:
-        return args[0] ^ args[0] if hasattr(args[0], "shape") else 0
-    return res
-
-
-def _closure_packed(seeds, carrier, index, generators, k, width):
-    import numpy as np
-
-    bits = [sum(bit << i for i, bit in enumerate(op.table)) for op in carrier]
-    bit_index = {v: i for i, v in enumerate(bits)}
-    full_int = (1 << (k * width)) - 1
-    full = np.uint64(full_int)
-
-    def pack(t):
-        p = 0
-        for j in range(k):
-            p = p << width | bits[t[j]]
-        return p
-
-    current = np.unique(np.array([pack(t) for t in seeds], dtype=np.uint64))
-    frontier = current.copy()
-    binary = [g for g in generators if g.arity == 2]
-    other = [g for g in generators if g.arity not in (0, 2)]
-    # frontier rows per outer product: 64 x a few thousand packed tuples keeps
-    # each temporary under 4 MB, so peak memory stays low wherever the
-    # allocator places the temporaries
-    chunk = 64
-    while frontier.size:
-        if current.size > DEFAULT_TABLE_CAP:
-            raise CapacityError("lifted relation exceeds the size cap")
-        cands = []
-        for g in binary:
-            for i in range(0, frontier.size, chunk):
-                blk = frontier[i:i + chunk][:, None]
-                rest = current[None, :]
-                # dedup each block immediately to keep memory flat
-                cands.append(np.unique(_packed_apply(g, [blk, rest], full)))
-                cands.append(np.unique(_packed_apply(g, [rest, blk], full)))
-        if other:
-            cur_list = [int(v) for v in current]
-            fro = {int(v) for v in frontier}
-            extra = set()
-            for g in other:
-                for combo in itertools.product(cur_list, repeat=g.arity):
-                    if not any(c in fro for c in combo):
-                        continue
-                    extra.add(_packed_apply(g, list(combo), full_int))
-            if extra:
-                cands.append(np.fromiter(extra, dtype=np.uint64, count=len(extra)))
-        if not cands:
-            break
-        cand = np.unique(np.concatenate(cands))
-        frontier = cand[np.isin(cand, current, assume_unique=True, invert=True)]
-        current = np.union1d(current, frontier)
-    mask = (1 << width) - 1
-    out = []
-    for p in current:
-        p = int(p)
-        out.append(tuple(bit_index[(p >> (width * (k - 1 - j))) & mask]
-                         for j in range(k)))
-    return tuple(sorted(out))
-
-
-def _closure_generic(seeds, carrier, index, generators):
-    act_cache: dict = {}
-
-    def act(gi, g, cols):
-        key = (gi, cols)
-        got = act_cache.get(key)
-        if got is None:
-            got = index[compose(g, tuple(carrier[i] for i in cols)).table]
-            act_cache[key] = got
-        return got
-
-    k = len(seeds[0])
-    seen = set(seeds)
-    frontier = list(seen)
-    gens = [(gi, g) for gi, g in enumerate(generators) if g.arity > 0]
+    vector = (d == 2 and f**k <= cap and f**k < 2**63
+              and all(isinstance(rows, list) for rows in cayleys))
+    apply = _apply_numpy if vector else _apply_python
+    seen = {sum(x * f**(k - 1 - j) for j, x in enumerate(t)) for t in seeds}
+    old, frontier = [], seeds
     while frontier:
         if len(seen) > DEFAULT_TABLE_CAP:
             raise CapacityError("lifted relation exceeds the size cap")
-        frontier_set = set(frontier)
-        old = [t for t in seen if t not in frontier_set]
-        new = []
-        for gi, g in gens:
-            n = g.arity
-            # every n-combo that touches the frontier at least once
-            for pattern in itertools.product((0, 1), repeat=n):
-                if not any(pattern):
-                    continue
-                pools = [frontier if p else old for p in pattern]
-                for combo in itertools.product(*pools):
-                    t = tuple(
-                        act(gi, g, tuple(combo[i][j] for i in range(n)))
-                        for j in range(k)
-                    )
-                    if t not in seen:
-                        seen.add(t)
-                        new.append(t)
-        frontier = new
-    return tuple(sorted(seen))
+        every = old + frontier
+        found: set[int] = set()
+        for g, rows in zip(generators, cayleys):
+            for pools in seminaive_pools(g, old, frontier, every):
+                apply(rows, pools, f, k, found)
+        found -= seen
+        seen |= found
+        old, frontier = every, [_digits(c, f, k) for c in sorted(found)]
+    return tuple(_digits(c, f, k) for c in sorted(seen))
 
 
 def free_structure(gen: CloneGenSet, b: RelStructure,
@@ -233,31 +218,42 @@ def free_structure(gen: CloneGenSet, b: RelStructure,
     carrier = generate_to_arity(gen, nb, budget, cap)
     index = {op.table: i for i, op in enumerate(carrier)}
     gen_index = tuple(index[projection(d, nb, v + 1).table] for v in range(nb))
-    # a 0-ary generator acts on tuples like its unary constant
-    acting = tuple(g if g.arity else OperationTable(d, 1, (g.table[0],) * d)
-                   for g in gen.generators)
+    acting = gen.acting()
+    tables = [op.table for op in carrier]
+    cayleys = [_cayley(g, tables, index, cap) for g in acting]
     lifted = {}
     for name, _ in b.signature.rel_names:
         seeds = [tuple(gen_index[v] for v in t) for t in b.relations[name]]
-        lifted[name] = _closure_of_tuples(seeds, carrier, index, acting)
+        lifted[name] = _closure_of_tuples(seeds, acting, cayleys, len(carrier), d, cap)
     return FreeStructure(d, b, carrier, gen_index, lifted, "generators")
+
+
+def _polymorphisms_by_arity(a: RelStructure, budget: SearchBudget | None,
+                            cap: int) -> dict[int, list[OperationTable]]:
+    """Arity n -> all_polymorphisms(a, n), each enumerated on first use."""
+    return _Memo(lambda n: all_polymorphisms(a, n, budget, cap))
 
 
 def free_structure_over_polymorphisms(a: RelStructure, b: RelStructure,
                                       budget: SearchBudget | None = None,
-                                      cap: int = DEFAULT_TABLE_CAP) -> FreeStructure:
+                                      cap: int = DEFAULT_TABLE_CAP,
+                                      polys: dict | None = None) -> FreeStructure:
     """Free structure of Pol(a) over b.
 
     The carrier is every |B|-ary polymorphism.  A lifted relation with m
     tuples is the image of Pol_m(a) under per-column minoring, since the
     closure of the generator tuples under a composition-closed clone is
-    reached in one application.
+    reached in one application.  ``polys``, from
+    ``_polymorphisms_by_arity(a, ...)``, shares the enumerations of Pol(a)
+    with the caller; it changes no result.
     """
     d = a.size
     nb = b.size
     if d**nb > cap:
         raise CapacityError(f"carrier elements need {d**nb} cells, over cap {cap}")
-    carrier = tuple(all_polymorphisms(a, nb, budget, cap))
+    if polys is None:
+        polys = _polymorphisms_by_arity(a, budget, cap)
+    carrier = tuple(polys[nb])
     index = {op.table: i for i, op in enumerate(carrier)}
     gen_index = tuple(index[projection(d, nb, v + 1).table] for v in range(nb))
     dom_codes = list(itertools.product(range(d), repeat=nb))
@@ -272,7 +268,7 @@ def free_structure_over_polymorphisms(a: RelStructure, b: RelStructure,
             raise CapacityError(
                 f"lifting {name!r} needs arity-{m} polymorphisms, over cap {cap}")
         out = set()
-        for f in all_polymorphisms(a, m, budget, cap):
+        for f in polys[m]:
             ft = f.table
             entry = []
             for j in range(k):
@@ -370,13 +366,15 @@ def h1_homomorphism_exists(a: RelStructure, b: RelStructure,
 
     Decided as: Pol(a) is b-colorable.  On success the induced image
     operations up to ``induce_arity`` are materialized and re-verified to
-    be polymorphisms of b.
+    be polymorphisms of b.  Each arity of Pol(a) is enumerated once.
     """
-    free = free_structure_over_polymorphisms(a, b, budget, cap)
+    polys = _polymorphisms_by_arity(a, budget, cap)
+    free = free_structure_over_polymorphisms(a, b, budget, cap, polys)
     res = find_coloring(free, strong=False, budget=budget)
     if res.outcome is not Outcome.FOUND:
         return H1Result(res.outcome, free, nodes=res.nodes)
-    members = clone_members_to_arity(a, induce_arity, budget, cap)
+    # clone_members_to_arity(a, ...), from the enumerations made above
+    members = [op for n in range(1, induce_arity + 1) for op in polys[n]]
     induced = tuple(induced_operations(free, res.coloring, members))
     for op in induced:
         if not is_polymorphism(op, b):

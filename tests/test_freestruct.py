@@ -1,6 +1,13 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
 
+import clonekit
+import clonekit.freestruct
 from clonekit import (
+    CapacityError,
     CloneGenSet,
     OperationTable,
     Outcome,
@@ -10,6 +17,7 @@ from clonekit import (
     find_coloring,
     free_structure,
     free_structure_over_polymorphisms,
+    generate_to_arity,
     h1_homomorphism_exists,
     h1_to_projections,
     projection,
@@ -247,3 +255,148 @@ def test_dual_oracles_agree_beyond_two_elements(k3s):
     assert res.siggers.found
     # the rigid triangle sits on the other side
     assert h1_to_projections(k3s).exists
+
+
+# -- the closure kernel against a naive closure over raw tables --------------
+
+# operations of small clones on three elements, conjugated at random: random
+# tables on three elements generate nearly every operation
+_ON_THREE = {
+    1: [lambda x: x, lambda x: (x + 1) % 3, lambda x: min(x, 1)],
+    2: [min, max, lambda x, y: (x + y) % 3, lambda x, y: (x - y) % 3],
+    3: [lambda x, y, z: sorted((x, y, z))[1], lambda x, y, z: (x - y + z) % 3],
+}
+
+
+def _random_operation(rng, d, arity):
+    if d == 2 or arity == 0:
+        return OperationTable(d, arity, tuple(rng.randrange(d) for _ in range(d**arity)))
+    f, p = rng.choice(_ON_THREE[arity]), rng.sample(range(d), d)
+    return OperationTable(d, arity, tuple(
+        p[f(*(p.index(a) for a in args))]
+        for args in itertools.product(range(d), repeat=arity)))
+
+
+def _naive_free(gens, d, b):
+    """Carrier and lifted relations of the free structure as sets of raw
+    tables: every generator is applied pointwise to every combination, in
+    full, until nothing new appears.  A 0-ary generator gives its constant."""
+    width = d**b.size
+    cells = list(itertools.product(range(d), repeat=b.size))
+    proj = [tuple(c[v] for c in cells) for v in range(b.size)]
+
+    def apply(g, combo, k):
+        if g.arity == 0:
+            return ((g.table[0],) * width,) * k
+        return tuple(tuple(g.apply(*(t[j][x] for t in combo)) for x in range(width))
+                     for j in range(k))
+
+    def close(seeds):
+        rel = set(seeds)
+        k = len(next(iter(rel)))
+        while True:
+            more = {apply(g, combo, k) for g in gens
+                    for combo in itertools.product(rel, repeat=g.arity)}
+            if more <= rel:
+                return rel
+            rel |= more
+
+    carrier = {t for (t,) in close((p,) for p in proj)}
+    lifted = {name: close(tuple(proj[v] for v in t) for t in b.relations[name])
+              for name, _ in b.signature.rel_names}
+    return carrier, lifted
+
+
+def _as_tables(free):
+    return ({op.table for op in free.carrier},
+            {name: {tuple(free.carrier[i].table for i in t) for t in ts}
+             for name, ts in free.lifted.items()})
+
+
+def test_closure_kernel_matches_naive_closure(monkeypatch):
+    # random clones on two and three elements, generators of arity 0-3 and
+    # relations of arity 1-3; each case also runs at the smallest cap that
+    # admits its carrier, where the Cayley tables fill lazily and the block
+    # step has no mark
+    fs = clonekit.freestruct
+    ran = set()
+
+    def spy(name, fn, tag):
+        def wrapped(*args):
+            result = fn(*args)
+            ran.add(tag(result))
+            return result
+        monkeypatch.setattr(fs, name, wrapped)
+
+    spy("_cayley", fs._cayley, lambda rows: "lazy" if isinstance(rows, dict) else "filled")
+    spy("_apply_numpy", fs._apply_numpy, lambda _: "numpy")
+    spy("_apply_python", fs._apply_python, lambda _: "python")
+    rng = random.Random(20151015)
+    seen = set()
+    checked = 0
+    while checked < 150:
+        d = rng.choice((2, 3))
+        nb = rng.choice((2, 3)) if d == 2 else 2
+        gens = [_random_operation(rng, d, rng.randint(0, 3))
+                for _ in range(rng.randint(1, 2))]
+        rels = {}
+        for i in range(rng.randint(1, 2)):
+            pool = list(itertools.product(range(nb), repeat=rng.randint(1, 3)))
+            rels[f"r{i}"] = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+        b = RelStructure.make(nb, rels)
+        gen = CloneGenSet.of(d, gens)
+        try:
+            size = len(generate_to_arity(gen, nb, cap=16))
+        except CapacityError:
+            continue
+        # keep the naive closure's full products small
+        if max((size**k) ** g.arity for _, k in b.signature.rel_names for g in gens) > 70000:
+            continue
+        free = free_structure(gen, b)
+        want = _naive_free(gens, d, b)
+        assert _as_tables(free) == want, (gens, rels)
+        small = max(d**nb, len(free.carrier))
+        assert _as_tables(free_structure(gen, b, cap=small)) == want, (gens, rels)
+        checked += 1
+        seen |= {(d, "gen", g.arity) for g in gens}
+        seen |= {(d, "rel", k) for _, k in b.signature.rel_names}
+    assert seen == {(d, kind, n) for d in (2, 3) for kind, ns in
+                    (("gen", range(4)), ("rel", range(1, 4))) for n in ns}
+    assert ran == {"lazy", "filled", "numpy", "python"}
+
+
+def test_three_element_free_structure_leaves_numpy_unimported(tmp_path):
+    # numpy serves only the two-element block step; importing it costs
+    # memory that three-element decisions do not need
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(clonekit.__file__)))
+    code = ("import sys; from clonekit import CloneGenSet, OperationTable, "
+            "free_structure; from clonekit.maltsev import day_structure; "
+            "add = OperationTable(3, 2, tuple((x + y) % 3 for x in range(3) "
+            "for y in range(3))); "
+            "free = free_structure(CloneGenSet.of(3, [add]), day_structure()); "
+            "print(len(free.carrier), 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pkg_root}, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["81", "False"]
+
+
+def test_h1_enumerates_each_polymorphism_arity_once(monkeypatch, k3s):
+    # the projection-test structure needs Pol_2 (carrier), Pol_3 and Pol_1
+    # (lifting) and Pol_1..Pol_3 (induced operations)
+    calls = []
+    enumerate_polys = clonekit.freestruct.all_polymorphisms
+
+    def counted(a, n, *args):
+        calls.append(n)
+        return enumerate_polys(a, n, *args)
+
+    monkeypatch.setattr(clonekit.freestruct, "all_polymorphisms", counted)
+    t = projection_test_structure()
+    res = h1_homomorphism_exists(k3s, t)
+    assert res.found
+    assert sorted(calls) == [1, 2, 3]
+    monkeypatch.undo()
+    assert res.induced == tuple(induced_operations(
+        res.free, res.coloring, clone_members_to_arity(k3s, 3)))
+

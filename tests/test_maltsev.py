@@ -3,6 +3,7 @@ import pytest
 import clonekit.maltsev
 from clonekit import (
     CloneGenSet,
+    OperationTable,
     Outcome,
     RelStructure,
     boolean_order,
@@ -92,7 +93,20 @@ def test_modularity_fixture_suite(minority_clone, proj_clone, lattice_clone):
     res = is_congruence_modular(proj_clone)
     assert res.holds is False
     assert res.coloring.found
-    assert is_congruence_modular(lattice_clone).holds is True
+    res = is_congruence_modular(lattice_clone)
+    assert res.holds is True
+    assert len(res.free.carrier) == 166
+    assert [len(res.free.lifted[n]) for n in ("alpha", "beta", "gamma")] == [7010, 7010, 3226]
+
+
+def test_affine_clone_on_three_elements_is_modular():
+    # x - y + z mod 3 is a Maltsev operation
+    affine = OperationTable(3, 3, tuple((x - y + z) % 3 for x in range(3)
+                                        for y in range(3) for z in range(3)))
+    res = is_congruence_modular(CloneGenSet.of(3, [affine]))
+    assert res.holds is True
+    assert len(res.free.carrier) == 27
+    assert [len(res.free.lifted[n]) for n in ("alpha", "beta", "gamma")] == [243, 243, 81]
 
 
 def test_chain_implies_n_permutable(minority_clone, proj_clone, lattice_clone):
