@@ -137,8 +137,10 @@ def _common_options() -> list[click.Option]:
 def _decide(command: str, inputs: dict, body, *, json_path, budget_nodes,
             budget_ms, parallel, deterministic, config_path, **config):
     """Run ``body(budget)``, which returns (verdict, certificates, nodes,
-    text, exit code); report, print and exit with that code.  ``config``
-    holds the command's own options, echoed in the report."""
+    text, exit code); report, print and exit with that code.  A budget
+    that runs out inside ``body`` is reported as verdict ``budget`` with
+    exit 4.  ``config`` holds the command's own options, echoed in the
+    report."""
     file_cfg = _load_config_file(config_path) if config_path else {}
     try:
         if budget_nodes is None and "budget-nodes" in file_cfg:
@@ -163,13 +165,16 @@ def _decide(command: str, inputs: dict, body, *, json_path, budget_nodes,
     except CapacityError as e:
         _fail(EXIT_CAPACITY, str(e))
     except BudgetExceededError as e:
-        _fail(EXIT_INCONCLUSIVE, f"budget exhausted: {e}")
+        # still a decision: the report says the budget ran out
+        click.echo(f"error: budget exhausted: {e}", err=True)
+        verdict, certs, nodes, text, code = "budget", {}, 0, None, EXIT_INCONCLUSIVE
     except (SignatureMismatchError, ValueError) as e:
         _fail(EXIT_PARSE, str(e))
     wall = (time.monotonic() - t0) * 1000
     report = build_report(command, echo, inputs, verdict, certs, nodes,
                           deterministic, wall)
-    click.echo(text)
+    if text is not None:
+        click.echo(text)
     if json_path:
         Path(json_path).write_text(render_report(report))
     sys.exit(code)

@@ -115,22 +115,22 @@ def is_polymorphism(f: OperationTable, a: RelStructure) -> bool:
     return all(preserves(f, a.relations[name]) for name, _ in a.signature.rel_names)
 
 
-def _add_preservation_constraints(csp: Csp, a: RelStructure, arity: int,
-                                  cell_base: int = 0):
-    """Constraints forcing the ``arity``-ary table at ``cell_base`` to be a
-    polymorphism of ``a``.  Cell index of argument vector v is
-    cell_base + encode(v)."""
-    d = a.size
-    for name, k in a.signature.rel_names:
-        rel = a.relations[name]
-        for sel in itertools.product(rel, repeat=arity):
-            scope = []
-            for j in range(k):
-                idx = 0
-                for t in sel:
-                    idx = idx * d + t[j]
-                scope.append(cell_base + idx)
-            csp.add_constraint(scope, rel, key=name)
+def column_cells(d: int, sel: Sequence[Sequence[int]], k: int) -> tuple[int, ...]:
+    """The table cells an operation reads when it is applied column-wise to
+    the ``k``-tuples of ``sel``: cell j codes (t[j] for t in sel)."""
+    if not sel:
+        return (0,) * k
+    *head, last = sel
+    return tuple(map(add, shifted_codes(d, head, k), last))
+
+
+def preservation_scopes(a: RelStructure, name: str, n: int) -> Iterator[tuple[int, ...]]:
+    """The cell scopes of an ``n``-ary table that must take a tuple of the
+    relation ``name`` of ``a``: one per selection of ``n`` of its tuples.  A
+    table is a polymorphism of ``a`` iff it meets those of every relation."""
+    k = a.signature.arity(name)
+    return (column_cells(a.size, sel, k)
+            for sel in itertools.product(a.relations[name], repeat=n))
 
 
 def polymorphisms(a: RelStructure, n: int, budget: SearchBudget | None = None,
@@ -147,7 +147,8 @@ def polymorphisms(a: RelStructure, n: int, budget: SearchBudget | None = None,
     if cells > cap:
         raise CapacityError(f"table with {cells} cells exceeds cap {cap}")
     csp = Csp(cells, d)
-    _add_preservation_constraints(csp, a, n)
+    for name, _ in a.signature.rel_names:
+        csp.add_constraint(preservation_scopes(a, name, n), a.relations[name])
     for sol in csp.solutions(budget=budget, order="index"):
         yield OperationTable(d, n, sol)
 
@@ -465,18 +466,12 @@ def find_operation_satisfying(a: RelStructure, system: H1IdentitySystem,
         if r in uf.value:
             csp.assign(i, uf.value[r])
 
-    for name, arity in system.symbols:
-        base = offsets[name]
-        for rel_name, k in a.signature.rel_names:
-            rel = a.relations[rel_name]
-            for sel in itertools.product(rel, repeat=arity):
-                scope = []
-                for j in range(k):
-                    idx = 0
-                    for t in sel:
-                        idx = idx * d + t[j]
-                    scope.append(cell_var[base + idx])
-                csp.add_constraint(scope, rel, key=rel_name)
+    # cells merged by the identities can give two symbols the same scope
+    for rel_name, _ in a.signature.rel_names:
+        scopes = {tuple(cell_var[offsets[name] + c] for c in scope): None
+                  for name, arity in system.symbols
+                  for scope in preservation_scopes(a, rel_name, arity)}
+        csp.add_constraint(scopes, a.relations[rel_name])
 
     outcome, sol = csp.solve(budget=budget)
     nodes = csp.nodes_explored

@@ -19,10 +19,12 @@ from typing import Iterable, Mapping, Sequence
 from .clones import (
     DEFAULT_TABLE_CAP,
     OperationTable,
+    column_cells,
     is_polymorphism,
+    preservation_scopes,
     preserves,
 )
-from .homs import HomMap, hom_equivalent
+from .homs import HomMap, core_of, hom_equivalent
 from .search import BudgetExceededError, CrossCheckError, Csp, Outcome, SearchBudget
 from .structures import (
     DEFAULT_POWER_CAP,
@@ -260,25 +262,21 @@ def is_pp_definable(a: RelStructure, rel: Iterable[Sequence[int]], arity: int,
     d = a.size
     if d**arity > cap:
         raise CapacityError("candidate relation arity too large for complement table")
-    complement = [t for t in itertools.product(range(d), repeat=arity)
-                  if t not in set(tuples)]
+    complement = sorted(set(itertools.product(range(d), repeat=arity))
+                        .difference(tuples))
     limit = min(m, max_arity)
     if not complement or m == 0:
         return PPDefResult(True, True, 0)
-    from .clones import _add_preservation_constraints
     for n in range(1, limit + 1):
         if d**n > cap:
             return PPDefResult(True, False, n - 1)
+        preservation = [(list(preservation_scopes(a, name, n)), a.relations[name])
+                        for name, _ in a.signature.rel_names]
         for sel in itertools.combinations(tuples, n):
             csp = Csp(d**n, d)
-            _add_preservation_constraints(csp, a, n)
-            scope = []
-            for j in range(arity):
-                idx = 0
-                for t in sel:
-                    idx = idx * d + t[j]
-                scope.append(idx)
-            csp.add_constraint(scope, complement)
+            for scopes, allowed in preservation:
+                csp.add_constraint(scopes, allowed)
+            csp.add_constraint([column_cells(d, sel, arity)], complement)
             outcome, sol = csp.solve(budget=budget)
             if outcome is Outcome.BUDGET:
                 raise BudgetExceededError("pp-definability budget exhausted")
@@ -455,9 +453,17 @@ def bounded_pp_search(a: RelStructure, b: RelStructure, bounds: PPSearchBounds,
     """
     budget = budget or SearchBudget()
     nodes_used = 0
+    # a structure homomorphically equivalent to b has at least |core(b)|
+    # elements, and every power of a has that many when |a| >= |b|
+    try:
+        least = core_of(b, budget).core.size if a.size < b.size else 1
+    except BudgetExceededError:
+        return BoundedSearchResult(Outcome.BUDGET, bounds)
     for dim in range(1, bounds.max_dimension + 1):
         if a.size**dim > cap:
             break
+        if a.size**dim < least:
+            continue
         coding = TupleCoding(a.size, dim)
         out_rels = list(b.signature.rel_names)
         candidates = []

@@ -108,13 +108,10 @@ def hom_csp(c: RelStructure, a: RelStructure,
     """The CSP whose solutions are exactly the homomorphisms c -> a."""
     _require_same_signature(c, a)
     csp = Csp(c.size, a.size)
-    if pins:
-        for var, val in pins.items():
-            csp.assign(var, val)
+    for var, val in (pins or {}).items():
+        csp.assign(var, val)
     for name, _ in c.signature.rel_names:
-        target = a.relations[name]
-        for t in c.relations[name]:
-            csp.add_constraint(t, target, key=name)
+        csp.add_constraint(c.relations[name], a.relations[name])
     return csp
 
 

@@ -3,8 +3,10 @@
 Every decision procedure in the package (homomorphism search, polymorphism
 enumeration, identity-constrained table search, coloring search) reduces to
 the same problem shape: variables with bitmask domains and positive table
-constraints.  Binary constraints get value-indexed support masks; wider
-scopes are revised by scanning their allowed tuples.  Search is depth-first
+constraints.  One call adds one relation on all of its scopes, and the
+relation is compiled once per equality pattern of those scopes.  Binary
+constraints get value-indexed support masks; wider scopes are revised by
+scanning their allowed tuples.  Search is depth-first
 with propagation at every node, ascending value order, and either
 smallest-domain-first or static index variable order (the latter makes
 solution enumeration lexicographic).
@@ -16,6 +18,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from operator import and_, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -54,27 +57,14 @@ class SearchBudget:
 DEFAULT_BUDGET = SearchBudget()
 
 
-def _mask_of(values: Iterable[int]) -> int:
-    m = 0
-    for v in values:
-        m |= 1 << v
-    return m
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class Csp:
     """A CSP over variables 0..n-1 with bitmask domains.
 
-    Constraints are added via :meth:`add_constraint` with a variable scope
-    and the list of allowed value tuples.  Repeated variables in a scope are
-    collapsed by restricting the allowed tuples to the matching diagonal.
-    Identical (scope, key) pairs are added once when ``key`` is given.
+    Constraints are added via :meth:`add_constraint`, one call per
+    relation: the variable scopes it applies to and its allowed value
+    tuples.  Repeated variables in a scope are collapsed by restricting the
+    allowed tuples to the matching diagonal.  Two constraints on the same
+    variable pair act as one, on the intersection of their relations.
     """
 
     def __init__(self, nvars: int, domain_size: int):
@@ -82,8 +72,7 @@ class Csp:
             raise ValueError("need nvars >= 0 and domain_size >= 1")
         self.nvars = nvars
         self.domain_size = domain_size
-        self.full_mask = (1 << domain_size) - 1
-        self.dom = [self.full_mask] * nvars
+        self.dom = [(1 << domain_size) - 1] * nvars
         # binary constraints: one support table per unordered var pair
         self._bin_pairs: dict[tuple[int, int], int] = {}
         self._bin_ends: list[tuple[int, int]] = []
@@ -92,76 +81,77 @@ class Csp:
         # wider constraints
         self._nary: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
         self._var_narys: list[list[int]] = [[] for _ in range(nvars)]
-        self._seen_keys: set = set()
         self._failed = False
         self.nodes_explored = 0
 
     def restrict(self, var: int, values: Iterable[int]):
-        self.dom[var] &= _mask_of(values)
+        mask = 0
+        for v in values:
+            mask |= 1 << v
+        self.dom[var] &= mask
         if self.dom[var] == 0:
             self._failed = True
 
     def assign(self, var: int, value: int):
         self.restrict(var, (value,))
 
-    def add_constraint(self, scope: Sequence[int], allowed: Sequence[Sequence[int]],
-                       key=None):
-        if key is not None:
-            dedup = (tuple(scope), key)
-            if dedup in self._seen_keys:
-                return
-            self._seen_keys.add(dedup)
-        scope = tuple(scope)
-        # collapse repeated variables onto the diagonal of the allowed set
-        first_pos: dict[int, int] = {}
-        positions = []
-        for i, v in enumerate(scope):
-            if v not in first_pos:
-                first_pos[v] = i
-                positions.append(i)
-        if len(positions) != len(scope):
-            kept_scope = tuple(scope[i] for i in positions)
-            kept = []
-            for t in allowed:
-                if all(t[i] == t[first_pos[scope[i]]] for i in range(len(scope))):
-                    kept.append(tuple(t[i] for i in positions))
-            scope, allowed = kept_scope, kept
-        arity = len(scope)
-        if arity == 0:
-            return
-        if arity == 1:
-            self.restrict(scope[0], (t[0] for t in allowed))
-            return
-        if arity == 2:
-            self._add_binary(scope[0], scope[1], allowed)
-            return
-        tuples = tuple(sorted({tuple(t) for t in allowed}))
-        idx = len(self._nary)
-        self._nary.append((scope, tuples))
-        for v in scope:
-            self._var_narys[v].append(idx)
+    def add_constraint(self, scopes: Iterable[Sequence[int]],
+                       allowed: Sequence[Sequence[int]]):
+        """Require every scope in ``scopes`` to take a tuple of ``allowed``.
 
-    def _add_binary(self, x: int, y: int, allowed):
-        if x > y:
-            x, y = y, x
-            allowed = [(b, a) for a, b in allowed]
-        pair = (x, y)
-        if pair in self._bin_pairs:
-            sup_xy, sup_yx = self._bin_sup[self._bin_pairs[pair]]
-            new_xy = [0] * self.domain_size
-            new_yx = [0] * self.domain_size
-            for a, b in allowed:
-                new_xy[a] |= 1 << b
-                new_yx[b] |= 1 << a
-            for v in range(self.domain_size):
-                sup_xy[v] &= new_xy[v]
-                sup_yx[v] &= new_yx[v]
-            return
+        ``allowed`` is one relation, duplicate-free.  It is compiled once per
+        equality pattern of the scopes, and the compiled form is shared by
+        every scope with that pattern.  Empty scopes are ignored.
+        """
+        compiled: dict[tuple[int, ...], tuple] = {}
+        for scope in scopes:
+            pattern = tuple(map(scope.index, scope))
+            if pattern not in compiled:
+                compiled[pattern] = self._compile(pattern, allowed)
+            form = compiled[pattern]
+            kept = tuple(dict.fromkeys(scope))
+            if len(kept) == 1:
+                self.restrict(kept[0], (t[0] for t in form))
+            elif len(kept) == 2:
+                self._add_binary(*kept, *form)
+            elif kept:
+                idx = len(self._nary)
+                self._nary.append((kept, form))
+                for v in kept:
+                    self._var_narys[v].append(idx)
+
+    def _compile(self, pattern: tuple[int, ...], allowed) -> tuple:
+        """The tuples of ``allowed`` on the diagonal that ``pattern`` selects
+        (position i repeats position ``pattern[i]``), cut to the first
+        position of each variable: two value-indexed support lists when two
+        variables are left, the sorted tuples otherwise."""
+        kept = [i for i, p in enumerate(pattern) if p == i]
+        if len(kept) < len(pattern):
+            diagonal = itemgetter(*pattern)
+            allowed = [tuple(t[i] for i in kept) for t in allowed
+                       if diagonal(t) == tuple(t)]
+        if len(kept) != 2:
+            return tuple(sorted(map(tuple, allowed)))
         sup_xy = [0] * self.domain_size
         sup_yx = [0] * self.domain_size
         for a, b in allowed:
             sup_xy[a] |= 1 << b
             sup_yx[b] |= 1 << a
+        return sup_xy, sup_yx
+
+    def _add_binary(self, x: int, y: int, sup_xy: list[int], sup_yx: list[int]):
+        """Attach support lists to the pair (x, y).  The lists may be shared
+        with other pairs, so a second constraint on one pair replaces them
+        with their intersection instead of narrowing them in place."""
+        if x > y:
+            x, y, sup_xy, sup_yx = y, x, sup_yx, sup_xy
+        pair = (x, y)
+        idx = self._bin_pairs.get(pair)
+        if idx is not None:
+            old_xy, old_yx = self._bin_sup[idx]
+            self._bin_sup[idx] = (list(map(and_, old_xy, sup_xy)),
+                                  list(map(and_, old_yx, sup_yx)))
+            return
         idx = len(self._bin_sup)
         self._bin_pairs[pair] = idx
         self._bin_ends.append(pair)

@@ -330,7 +330,8 @@ GOLDEN = [
      "3a92f35ca0c5b5339a1d1c3e3cb9b0495cccd19c08c9cba5969a566d8d8e5974"),
     ("poly", ["poly", "--arity", "2", "{le}"], 0,
      "7d0baaa194522efbe6b7b97bbb50b4ada0c1ac49ce5b8b50cbc6b51ac9d71f8b"),
-    ("poly-budget", ["poly", "--arity", "3", "{rxor}", "--budget-nodes", "1"], 4, None),
+    ("poly-budget", ["poly", "--arity", "3", "{rxor}", "--budget-nodes", "1"], 4,
+     "fdef3f3fb1a8c64ebb015546cca7277f3ac959939285a006e017a8b76259adb6"),
     ("pp", ["pp", "{le}", "--spec", "{spec}"], 0,
      "5f7cb450497c088ad0e869d3d031ea5f2e276a00e363ab5edab09fdf72aa94b8"),
     ("ppdef-definable", ["ppdef", "{le}", "--target", "{lerel}"], 0,
@@ -347,7 +348,8 @@ GOLDEN = [
      "88b1db85f8deb8fe15ba9e438f9857111facd56cfea3b9870d9b2cabc12f6d42"),
     ("h1-refuted", ["h1", "{le}", "--target", "{rxor}"], 3,
      "c2406c1cbb2f8d7d59b916ddb845b37b775b6e96689093ae30c3942e8d8ed1be"),
-    ("h1-budget", ["h1", "{rxor}", "--target", "{rxor}", "--budget-nodes", "1"], 4, None),
+    ("h1-budget", ["h1", "{rxor}", "--target", "{rxor}", "--budget-nodes", "1"], 4,
+     "2e85e2930dad11e6c57693c9f2c7c87546964af6806335949978307c2a6fd9aa"),
     ("nperm-holds", ["maltsev", "{minority}", "--test", "n-perm"], 0,
      "256e5889ed29a2378ca266397e6205d4e0ecd195087f4173b618614b059ceede"),
     ("nperm-fails", ["maltsev", "{min}", "--test", "n-perm"], 3,

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -26,7 +27,9 @@ from clonekit import (
     satisfies_system,
     verify_pp_interpretation,
 )
+from clonekit import constructions
 from clonekit.clones import parse_identity_system
+from clonekit.search import BudgetExceededError
 
 from conftest import LE, MIN2, MINORITY, hepp_A, hepp_Ap, hepp_B
 
@@ -305,6 +308,23 @@ def test_bounded_search_none_within_tiny_bounds(k3s, le_struct):
     assert res.outcome in (Outcome.FOUND, Outcome.REFUTED)
     if res.found:
         assert check_pp_constructible(k3s, le_struct, res.spec).found
+
+
+def test_bounded_search_skips_dimensions_below_the_core_size():
+    # every power of dimension 1 of the two-element hepp_B is smaller than
+    # the four-element core hepp_A, so no pick needs a search
+    start = time.perf_counter()
+    res = bounded_pp_search(hepp_B(), hepp_A(), PPSearchBounds(1, 0, 1))
+    assert time.perf_counter() - start < 1.0
+    assert res.outcome is Outcome.REFUTED
+
+
+def test_bounded_search_budget_in_core_computation(monkeypatch, k3s, le_struct):
+    def exhausted(*args, **kwargs):
+        raise BudgetExceededError("node limit exceeded")
+    monkeypatch.setattr(constructions, "core_of", exhausted)
+    res = bounded_pp_search(le_struct, k3s, PPSearchBounds(1, 0, 1))
+    assert res.outcome is Outcome.BUDGET
 
 
 def test_verify_pp_interpretation_accepts_hepp_quotient():

@@ -91,6 +91,23 @@ def test_verify_rejects_tampered_refutation_digest(tmp_path):
     assert verify_report(bad)
 
 
+def test_verify_accepts_budget_reports(tmp_path):
+    runner, files = _setup(tmp_path)
+    out = tmp_path / "poly.json"
+    res = runner.invoke(main, ["poly", "--arity", "3", files["k3s"],
+                               "--budget-nodes", "1", "--json", str(out)])
+    assert res.exit_code == 4, res.output
+    assert "error: budget exhausted" in res.output
+    poly = json.loads(out.read_text())
+    assert (poly["verdict"], poly["certificates"], poly["timings"]) == \
+        ("budget", {}, {"nodes": 0})
+    core = {**poly, "command": "core"}
+    assert verify_report(poly) == [] and verify_report(core) == []
+    bad = copy.deepcopy(poly)
+    bad["inputs"]["structure"]["size"] = 4
+    assert verify_report(bad)
+
+
 def test_verify_rejects_input_swap(tmp_path):
     # swapping the embedded input must break the input digest
     runner, files = _setup(tmp_path)
