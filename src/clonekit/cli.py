@@ -418,7 +418,7 @@ def color(clone_file, target_path, strong, **common):
     b = _read_structure(target_path)
 
     def body(budget):
-        free = free_structure(gen, b, budget)
+        free = free_structure(gen, b)
         res = find_coloring(free, strong=strong, budget=budget)
         if res.found:
             certs = {"free": free_to_dict(free),

@@ -13,12 +13,17 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, mul
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .search import CrossCheckError, Csp, Outcome, SearchBudget
-from .structures import CapacityError, RelStructure, TupleCoding
+from .structures import (
+    CapacityError,
+    RelStructure,
+    TupleCoding,
+    column_cells,
+    shifted_codes,
+)
 
 # Table-cell capacity: domain_size ** arity must stay under this.
 DEFAULT_TABLE_CAP = 2**20
@@ -46,9 +51,6 @@ class OperationTable:
             idx = idx * self.domain_size + a
         return self.table[idx]
 
-    def coding(self) -> TupleCoding:
-        return TupleCoding(self.domain_size, self.arity)
-
     def sort_key(self):
         return (self.arity, self.table)
 
@@ -60,16 +62,6 @@ def projection(domain_size: int, n: int, i: int) -> OperationTable:
     coding = TupleCoding(domain_size, n)
     return OperationTable(domain_size, n,
                           tuple(vec[i - 1] for vec in coding.all_vectors()))
-
-
-def shifted_codes(d: int, tables: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:
-    """Per cell, d times the code of the argument vector read from ``tables``
-    (first table most significant).  Adding one more table's cell gives the
-    code with that table as the last argument; with no tables it is all 0."""
-    codes = (0,) * width
-    for t in tables:
-        codes = tuple(map(mul, map(add, codes, t), repeat(d)))
-    return codes
 
 
 def compose(f: OperationTable, gs: Sequence[OperationTable]) -> OperationTable:
@@ -115,15 +107,6 @@ def is_polymorphism(f: OperationTable, a: RelStructure) -> bool:
     return all(preserves(f, a.relations[name]) for name, _ in a.signature.rel_names)
 
 
-def column_cells(d: int, sel: Sequence[Sequence[int]], k: int) -> tuple[int, ...]:
-    """The table cells an operation reads when it is applied column-wise to
-    the ``k``-tuples of ``sel``: cell j codes (t[j] for t in sel)."""
-    if not sel:
-        return (0,) * k
-    *head, last = sel
-    return tuple(map(add, shifted_codes(d, head, k), last))
-
-
 def preservation_scopes(a: RelStructure, name: str, n: int) -> Iterator[tuple[int, ...]]:
     """The cell scopes of an ``n``-ary table that must take a tuple of the
     relation ``name`` of ``a``: one per selection of ``n`` of its tuples.  A
@@ -133,8 +116,8 @@ def preservation_scopes(a: RelStructure, name: str, n: int) -> Iterator[tuple[in
             for sel in itertools.product(a.relations[name], repeat=n))
 
 
-def polymorphisms(a: RelStructure, n: int, budget: SearchBudget | None = None,
-                  cap: int = DEFAULT_TABLE_CAP) -> Iterator[OperationTable]:
+def polymorphisms(a: RelStructure, n: int,
+                  budget: SearchBudget | None = None) -> Iterator[OperationTable]:
     """Stream all n-ary polymorphisms of ``a`` in lexicographic table order.
 
     Equivalent to enumerating homomorphisms from the n-th power of ``a``
@@ -144,8 +127,8 @@ def polymorphisms(a: RelStructure, n: int, budget: SearchBudget | None = None,
     """
     d = a.size
     cells = d**n
-    if cells > cap:
-        raise CapacityError(f"table with {cells} cells exceeds cap {cap}")
+    if cells > DEFAULT_TABLE_CAP:
+        raise CapacityError(f"table with {cells} cells exceeds cap {DEFAULT_TABLE_CAP}")
     csp = Csp(cells, d)
     for name, _ in a.signature.rel_names:
         csp.add_constraint(preservation_scopes(a, name, n), a.relations[name])
@@ -153,9 +136,9 @@ def polymorphisms(a: RelStructure, n: int, budget: SearchBudget | None = None,
         yield OperationTable(d, n, sol)
 
 
-def all_polymorphisms(a: RelStructure, n: int, budget: SearchBudget | None = None,
-                      cap: int = DEFAULT_TABLE_CAP) -> list[OperationTable]:
-    return list(polymorphisms(a, n, budget, cap))
+def all_polymorphisms(a: RelStructure, n: int,
+                      budget: SearchBudget | None = None) -> list[OperationTable]:
+    return list(polymorphisms(a, n, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +186,19 @@ def seminaive_pools(g: OperationTable, old: list, frontier: list, every: list) -
     return [[old] * p + [frontier] + [every] * (n - 1 - p) for p in range(n)]
 
 
-def generate_to_arity(gen: CloneGenSet, k: int, budget: SearchBudget | None = None,
-                      cap: int = DEFAULT_TABLE_CAP) -> tuple[OperationTable, ...]:
+def generate_to_arity(gen: CloneGenSet, k: int) -> tuple[OperationTable, ...]:
     """All k-ary members of the generated clone, sorted by table.
 
     Fixpoint: seed with the k-ary projections, then in semi-naive rounds
     compose each generator with the k-ary members produced so far, over
     the combinations that hold a member new in the previous round.
-    ``cap`` bounds both the table size and the number of generated members.
+    ``DEFAULT_TABLE_CAP`` bounds both the table size and the number of
+    generated members; past either, CapacityError is raised.
     """
     d = gen.domain_size
     width = d**k
-    if width > cap:
-        raise CapacityError(f"table with {width} cells exceeds cap {cap}")
+    if width > DEFAULT_TABLE_CAP:
+        raise CapacityError(f"table with {width} cells exceeds cap {DEFAULT_TABLE_CAP}")
     seen: dict[tuple[int, ...], OperationTable] = {}
     for i in range(1, k + 1):
         p = projection(d, k, i)
@@ -223,8 +206,9 @@ def generate_to_arity(gen: CloneGenSet, k: int, budget: SearchBudget | None = No
     old: list[tuple[int, ...]] = []
     frontier = list(seen)
     while frontier:
-        if len(seen) > cap:
-            raise CapacityError(f"generated clone exceeds {cap} members at arity {k}")
+        if len(seen) > DEFAULT_TABLE_CAP:
+            raise CapacityError(
+                f"generated clone exceeds {DEFAULT_TABLE_CAP} members at arity {k}")
         every = old + frontier
         new: list[tuple[int, ...]] = []
         for g in gen.acting():
@@ -415,8 +399,7 @@ class _UnionFind:
 
 
 def find_operation_satisfying(a: RelStructure, system: H1IdentitySystem,
-                              budget: SearchBudget | None = None,
-                              cap: int = DEFAULT_TABLE_CAP) -> OpSearchResult:
+                              budget: SearchBudget | None = None) -> OpSearchResult:
     """Search for polymorphisms of ``a`` jointly satisfying the system.
 
     Identities are compiled to equalities between table cells (plus value
@@ -429,8 +412,9 @@ def find_operation_satisfying(a: RelStructure, system: H1IdentitySystem,
     total = 0
     for name, arity in system.symbols:
         cells = d**arity
-        if cells > cap:
-            raise CapacityError(f"symbol {name!r} needs {cells} cells, over cap {cap}")
+        if cells > DEFAULT_TABLE_CAP:
+            raise CapacityError(
+                f"symbol {name!r} needs {cells} cells, over cap {DEFAULT_TABLE_CAP}")
         offsets[name] = total
         total += cells
 

@@ -19,7 +19,6 @@ from typing import Iterable, Mapping, Sequence
 from .clones import (
     DEFAULT_TABLE_CAP,
     OperationTable,
-    column_cells,
     is_polymorphism,
     preservation_scopes,
     preserves,
@@ -32,6 +31,7 @@ from .structures import (
     RelStructure,
     Signature,
     TupleCoding,
+    column_cells,
 )
 
 
@@ -208,13 +208,12 @@ def identity_power_spec(a: RelStructure) -> PPPowerSpec:
     return PPPowerSpec(1, tuple(defs))
 
 
-def pp_power(a: RelStructure, spec: PPPowerSpec,
-             cap: int = DEFAULT_POWER_CAP) -> RelStructure:
+def pp_power(a: RelStructure, spec: PPPowerSpec) -> RelStructure:
     """The pp-power structure on domain {0 .. size^n - 1}."""
     n = spec.dimension
     dom = a.size**n
-    if dom > cap:
-        raise CapacityError(f"pp-power domain {dom} exceeds cap {cap}")
+    if dom > DEFAULT_POWER_CAP:
+        raise CapacityError(f"pp-power domain {dom} exceeds cap {DEFAULT_POWER_CAP}")
     coding = TupleCoding(a.size, n)
     rels = {}
     for name, arity, phi in spec.defs:
@@ -238,20 +237,16 @@ class PPDefResult:
     violator: OperationTable | None = None
     selection: tuple[tuple[int, ...], ...] | None = None
 
-    @property
-    def certified_not_definable(self) -> bool:
-        return not self.definable
-
 
 def is_pp_definable(a: RelStructure, rel: Iterable[Sequence[int]], arity: int,
-                    budget: SearchBudget | None = None, max_arity: int = 4,
-                    cap: int = DEFAULT_TABLE_CAP) -> PPDefResult:
+                    budget: SearchBudget | None = None, max_arity: int = 4) -> PPDefResult:
     """Decide pp-definability of a candidate relation over ``a``.
 
     A violating polymorphism (one that preserves all relations of ``a`` but
     moves some selection of R-tuples outside R) certifies non-definability.
-    Searching up to arity |R| is complete; the default cap of
-    min(|R|, max_arity) yields a bounded check otherwise, reported via the
+    Searching up to arity |R| is complete; the search stops at
+    min(|R|, max_arity), and below any arity whose table exceeds
+    ``DEFAULT_TABLE_CAP`` cells, reporting a bounded check via the
     ``complete`` flag.
     """
     tuples = sorted({tuple(t) for t in rel})
@@ -260,7 +255,7 @@ def is_pp_definable(a: RelStructure, rel: Iterable[Sequence[int]], arity: int,
             raise ValueError(f"candidate tuple {t} does not fit arity {arity}/size {a.size}")
     m = len(tuples)
     d = a.size
-    if d**arity > cap:
+    if d**arity > DEFAULT_TABLE_CAP:
         raise CapacityError("candidate relation arity too large for complement table")
     complement = sorted(set(itertools.product(range(d), repeat=arity))
                         .difference(tuples))
@@ -268,7 +263,7 @@ def is_pp_definable(a: RelStructure, rel: Iterable[Sequence[int]], arity: int,
     if not complement or m == 0:
         return PPDefResult(True, True, 0)
     for n in range(1, limit + 1):
-        if d**n > cap:
+        if d**n > DEFAULT_TABLE_CAP:
             return PPDefResult(True, False, n - 1)
         preservation = [(list(preservation_scopes(a, name, n)), a.relations[name])
                         for name, _ in a.signature.rel_names]
@@ -361,14 +356,13 @@ class PpConstructionResult:
 
 
 def check_pp_constructible(a: RelStructure, b: RelStructure, spec: PPPowerSpec,
-                           budget: SearchBudget | None = None,
-                           cap: int = DEFAULT_POWER_CAP) -> PpConstructionResult:
+                           budget: SearchBudget | None = None) -> PpConstructionResult:
     """Check one GIVEN construction: is b homomorphically equivalent to the
     pp-power of a described by ``spec``?  This does not search the space of
     specs; see bounded_pp_search for that."""
     if spec.out_signature() != b.signature:
         raise ValueError("spec output signature does not match b")
-    power = pp_power(a, spec, cap)
+    power = pp_power(a, spec)
     eq = hom_equivalent(power, b, budget)
     return PpConstructionResult(eq.outcome, power, eq.forward, eq.backward)
 
@@ -443,13 +437,13 @@ def _candidate_formulas(a: RelStructure, free: int, bounds: PPSearchBounds):
 
 
 def bounded_pp_search(a: RelStructure, b: RelStructure, bounds: PPSearchBounds,
-                      budget: SearchBudget | None = None,
-                      cap: int = DEFAULT_POWER_CAP) -> BoundedSearchResult:
+                      budget: SearchBudget | None = None) -> BoundedSearchResult:
     """Enumerate pp-power specs within bounds until one makes b
     homomorphically equivalent to the power.
 
     A REFUTED outcome means "no spec within these bounds", never a proof
-    that b cannot be pp-constructed from a.
+    that b cannot be pp-constructed from a.  Reaching a dimension whose
+    power exceeds ``DEFAULT_POWER_CAP`` elements raises CapacityError.
     """
     budget = budget or SearchBudget()
     nodes_used = 0
@@ -460,24 +454,24 @@ def bounded_pp_search(a: RelStructure, b: RelStructure, bounds: PPSearchBounds,
     except BudgetExceededError:
         return BoundedSearchResult(Outcome.BUDGET, bounds)
     for dim in range(1, bounds.max_dimension + 1):
-        if a.size**dim > cap:
-            break
-        if a.size**dim < least:
+        dom = a.size**dim
+        if dom > DEFAULT_POWER_CAP:
+            raise CapacityError(f"pp-power domain {dom} exceeds cap {DEFAULT_POWER_CAP}")
+        if dom < least:
             continue
         coding = TupleCoding(a.size, dim)
         out_rels = list(b.signature.rel_names)
+        by_arity = {}  # relations of one arity share their candidate list
         candidates = []
         for name, arity in out_rels:
-            cands = _candidate_formulas(a, arity * dim, bounds)
-            encoded = []
-            for natoms, phi, sat in cands:
-                tuples = tuple(
-                    tuple(coding.encode(t[j * dim:(j + 1) * dim]) for j in range(arity))
-                    for t in sat)
-                # a hom b -> power needs nonempty images for nonempty relations
-                if b.relations[name] and not tuples:
-                    continue
-                encoded.append((natoms, phi, tuples))
+            if arity not in by_arity:
+                by_arity[arity] = [
+                    (natoms, phi, tuple(
+                        tuple(coding.encode(t[j * dim:(j + 1) * dim]) for j in range(arity))
+                        for t in sat))
+                    for natoms, phi, sat in _candidate_formulas(a, arity * dim, bounds)]
+            # a hom b -> power needs nonempty images for nonempty relations
+            encoded = [c for c in by_arity[arity] if c[2] or not b.relations[name]]
             if not encoded:
                 candidates = None
                 break
@@ -489,7 +483,7 @@ def bounded_pp_search(a: RelStructure, b: RelStructure, bounds: PPSearchBounds,
         for total in range(max_total + 1):
             for picks in _picks_with_total(candidates, total):
                 rels = {out_rels[i][0]: list(picks[i][2]) for i in range(len(out_rels))}
-                power = RelStructure(a.size**dim, b.signature, rels)
+                power = RelStructure(dom, b.signature, rels)
                 eq = hom_equivalent(power, b, budget)
                 nodes_used += eq.nodes
                 if budget.node_limit is not None and nodes_used > budget.node_limit:

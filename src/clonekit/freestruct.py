@@ -31,17 +31,19 @@ from .clones import (
     OperationTable,
     OpSearchResult,
     all_polymorphisms,
-    compose,
     generate_to_arity,
     has_siggers,
     is_polymorphism,
     projection,
     seminaive_pools,
-    shifted_codes,
 )
 from .homs import find_homomorphism
 from .search import BudgetExceededError, CrossCheckError, Outcome, SearchBudget
-from .structures import CapacityError, RelStructure
+from .structures import CapacityError, RelStructure, column_cells, shifted_codes
+
+# Cayley tables and numpy code marks of at most this many cells are built
+# densely; larger Cayley tables fill lazily and their closures stay in Python
+_DENSE_CELLS = DEFAULT_TABLE_CAP
 
 
 @dataclass(frozen=True)
@@ -112,11 +114,11 @@ def _digits(code: int, base: int, count: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _cayley(g: OperationTable, tables, index, cap: int):
+def _cayley(g: OperationTable, tables, index):
     """Cayley table of ``g`` over the carrier: ``rows[h][j]`` is the carrier
     index of g applied to the head arguments whose carrier indices, read as
     base-|F| digits, give h, and to carrier element j last.  Filled lazily
-    from a memo when its |F|^arity cells exceed ``cap``."""
+    from a memo when its |F|^arity cells exceed ``_DENSE_CELLS``."""
     d, n, f, width = g.domain_size, g.arity, len(tables), len(tables[0])
     look = g.table.__getitem__
 
@@ -124,7 +126,7 @@ def _cayley(g: OperationTable, tables, index, cap: int):
         codes = shifted_codes(d, [tables[i] for i in head], width)
         return lambda j: index[tuple(map(look, map(add, codes, tables[j])))]
 
-    if f**n <= cap:
+    if f**n <= _DENSE_CELLS:
         return [list(map(cells(head), range(f)))
                 for head in itertools.product(range(f), repeat=n - 1)]
     return _Memo(lambda h: _Memo(cells(_digits(h, f, n - 1))))
@@ -139,11 +141,12 @@ def _apply_numpy(rows, pools, f: int, k: int, out: set):
     tuples t_p from ``pools[p]``, by gathers over outer products."""
     import numpy as np
 
-    dtype = np.int32 if max(f**k, len(rows) * f) < 2**31 else np.int64
-    table = np.array(rows, dtype=dtype).reshape(-1)
+    # codes stay under f**k and row offsets under len(rows) * f = f**n, both
+    # at most _DENSE_CELLS = 2**20, so int32 holds every intermediate
+    table = np.array(rows, dtype=np.int32).reshape(-1)
     # pools by coordinate: row j holds the j-th entries of the pool's tuples
-    *heads, last = (np.array(p, dtype=dtype).reshape(-1, k).T.copy() for p in pools)
-    head = np.zeros((k, 1), dtype=dtype)
+    *heads, last = (np.array(p, dtype=np.int32).reshape(-1, k).T.copy() for p in pools)
+    head = np.zeros((k, 1), dtype=np.int32)
     for pool in heads:
         head = (head[:, :, None] * f + pool[:, None, :]).reshape(k, -1)
     head *= f  # offsets of the head combinations' rows in the flat table
@@ -174,21 +177,21 @@ def _apply_python(rows, pools, f: int, k: int, out: set):
         out.update(codes)
 
 
-def _closure_of_tuples(seeds, generators, cayleys, f: int, d: int, cap: int):
+def _closure_of_tuples(seeds, generators, cayleys, f: int, d: int):
     """Close a set of k-tuples of carrier indices under the componentwise
     action of the generators, given their Cayley tables over the carrier.
 
     Rounds are semi-naive: each applies the generators only to combinations
     that hold a tuple new in the previous round.  Tuples are deduplicated
     by their integer code over |F|^k.  On a two-element domain, when the
-    Cayley tables are filled and |F|^k codes fit under ``cap``, each block
-    step runs in numpy; otherwise in pure Python.
+    Cayley tables are filled and |F|^k codes fit under ``_DENSE_CELLS``,
+    each block step runs in numpy; otherwise in pure Python.
     """
     seeds = sorted(set(seeds))
     if not seeds:
         return ()
     k = len(seeds[0])
-    vector = (d == 2 and f**k <= cap and f**k < 2**63
+    vector = (d == 2 and f**k <= _DENSE_CELLS
               and all(isinstance(rows, list) for rows in cayleys))
     apply = _apply_numpy if vector else _apply_python
     seen = {sum(x * f**(k - 1 - j) for j, x in enumerate(t)) for t in seeds}
@@ -207,36 +210,34 @@ def _closure_of_tuples(seeds, generators, cayleys, f: int, d: int, cap: int):
     return tuple(_digits(c, f, k) for c in sorted(seen))
 
 
-def free_structure(gen: CloneGenSet, b: RelStructure,
-                   budget: SearchBudget | None = None,
-                   cap: int = DEFAULT_TABLE_CAP) -> FreeStructure:
+def free_structure(gen: CloneGenSet, b: RelStructure) -> FreeStructure:
     """Free structure of a generated clone over b, computed to fixpoint."""
     d = gen.domain_size
     nb = b.size
-    if d**nb > cap:
-        raise CapacityError(f"carrier elements need {d**nb} cells, over cap {cap}")
-    carrier = generate_to_arity(gen, nb, budget, cap)
+    if d**nb > DEFAULT_TABLE_CAP:
+        raise CapacityError(
+            f"carrier elements need {d**nb} cells, over cap {DEFAULT_TABLE_CAP}")
+    carrier = generate_to_arity(gen, nb)
     index = {op.table: i for i, op in enumerate(carrier)}
     gen_index = tuple(index[projection(d, nb, v + 1).table] for v in range(nb))
     acting = gen.acting()
     tables = [op.table for op in carrier]
-    cayleys = [_cayley(g, tables, index, cap) for g in acting]
+    cayleys = [_cayley(g, tables, index) for g in acting]
     lifted = {}
     for name, _ in b.signature.rel_names:
         seeds = [tuple(gen_index[v] for v in t) for t in b.relations[name]]
-        lifted[name] = _closure_of_tuples(seeds, acting, cayleys, len(carrier), d, cap)
+        lifted[name] = _closure_of_tuples(seeds, acting, cayleys, len(carrier), d)
     return FreeStructure(d, b, carrier, gen_index, lifted, "generators")
 
 
-def _polymorphisms_by_arity(a: RelStructure, budget: SearchBudget | None,
-                            cap: int) -> dict[int, list[OperationTable]]:
+def _polymorphisms_by_arity(a: RelStructure,
+                            budget: SearchBudget | None) -> dict[int, list[OperationTable]]:
     """Arity n -> all_polymorphisms(a, n), each enumerated on first use."""
-    return _Memo(lambda n: all_polymorphisms(a, n, budget, cap))
+    return _Memo(lambda n: all_polymorphisms(a, n, budget))
 
 
 def free_structure_over_polymorphisms(a: RelStructure, b: RelStructure,
                                       budget: SearchBudget | None = None,
-                                      cap: int = DEFAULT_TABLE_CAP,
                                       polys: dict | None = None) -> FreeStructure:
     """Free structure of Pol(a) over b.
 
@@ -249,14 +250,15 @@ def free_structure_over_polymorphisms(a: RelStructure, b: RelStructure,
     """
     d = a.size
     nb = b.size
-    if d**nb > cap:
-        raise CapacityError(f"carrier elements need {d**nb} cells, over cap {cap}")
+    if d**nb > DEFAULT_TABLE_CAP:
+        raise CapacityError(
+            f"carrier elements need {d**nb} cells, over cap {DEFAULT_TABLE_CAP}")
     if polys is None:
-        polys = _polymorphisms_by_arity(a, budget, cap)
+        polys = _polymorphisms_by_arity(a, budget)
     carrier = tuple(polys[nb])
     index = {op.table: i for i, op in enumerate(carrier)}
-    gen_index = tuple(index[projection(d, nb, v + 1).table] for v in range(nb))
-    dom_codes = list(itertools.product(range(d), repeat=nb))
+    projs = [projection(d, nb, v + 1).table for v in range(nb)]
+    gen_index = tuple(index[p] for p in projs)
     lifted = {}
     for name, k in b.signature.rel_names:
         rows = b.relations[name]
@@ -264,23 +266,16 @@ def free_structure_over_polymorphisms(a: RelStructure, b: RelStructure,
         if m == 0:
             lifted[name] = ()
             continue
-        if d**m > cap:
-            raise CapacityError(
-                f"lifting {name!r} needs arity-{m} polymorphisms, over cap {cap}")
+        if d**m > DEFAULT_TABLE_CAP:
+            raise CapacityError(f"lifting {name!r} needs arity-{m} polymorphisms, "
+                                f"over cap {DEFAULT_TABLE_CAP}")
+        # per column j, the cells f(pi_{row[j]} for row in rows) reads
+        minors = [column_cells(d, [projs[row[j]] for row in rows], d**nb)
+                  for j in range(k)]
         out = set()
         for f in polys[m]:
-            ft = f.table
-            entry = []
-            for j in range(k):
-                col = tuple(row[j] for row in rows)
-                tab = []
-                for vec in dom_codes:
-                    idx = 0
-                    for i in col:
-                        idx = idx * d + vec[i]
-                    tab.append(ft[idx])
-                entry.append(index[tuple(tab)])
-            out.add(tuple(entry))
+            look = f.table.__getitem__
+            out.add(tuple(index[tuple(map(look, cells))] for cells in minors))
         lifted[name] = tuple(sorted(out))
     return FreeStructure(d, b, carrier, gen_index, lifted, "polymorphisms")
 
@@ -311,15 +306,14 @@ def find_coloring(free: FreeStructure, strong: bool = False,
 
 
 def clone_members_to_arity(gen_or_structure, max_arity: int,
-                           budget: SearchBudget | None = None,
-                           cap: int = DEFAULT_TABLE_CAP) -> list[OperationTable]:
+                           budget: SearchBudget | None = None) -> list[OperationTable]:
     """Members of arity 1..max_arity of a generated clone or of Pol(A)."""
     out = []
     for n in range(1, max_arity + 1):
         if isinstance(gen_or_structure, CloneGenSet):
-            out.extend(generate_to_arity(gen_or_structure, n, budget, cap))
+            out.extend(generate_to_arity(gen_or_structure, n))
         else:
-            out.extend(all_polymorphisms(gen_or_structure, n, budget, cap))
+            out.extend(all_polymorphisms(gen_or_structure, n, budget))
     return out
 
 
@@ -333,15 +327,18 @@ def induced_operations(free: FreeStructure, coloring: Coloring,
     d = free.domain_size
     nb = free.b.size
     index = free.carrier_index()
+    projs = [projection(d, nb, v + 1).table for v in range(nb)]
+    # arity n -> per argument map (b1..bn), the cells f(pi_b1..pi_bn) reads
+    minors = _Memo(lambda n: [column_cells(d, [projs[v] for v in bs], d**nb)
+                              for bs in itertools.product(range(nb), repeat=n)])
     out = []
     for f in members:
         if f.arity == 0:
             continue  # constants enter the carrier as constant tables
-        table = []
-        for bs in itertools.product(range(nb), repeat=f.arity):
-            g = compose(f, [projection(d, nb, v + 1) for v in bs])
-            table.append(coloring.map[index[g.table]])
-        out.append(OperationTable(nb, f.arity, tuple(table)))
+        look = f.table.__getitem__
+        table = tuple(coloring.map[index[tuple(map(look, cells))]]
+                      for cells in minors[f.arity])
+        out.append(OperationTable(nb, f.arity, table))
     return out
 
 
@@ -359,22 +356,20 @@ class H1Result:
 
 
 def h1_homomorphism_exists(a: RelStructure, b: RelStructure,
-                           budget: SearchBudget | None = None,
-                           cap: int = DEFAULT_TABLE_CAP,
-                           induce_arity: int = 3) -> H1Result:
+                           budget: SearchBudget | None = None) -> H1Result:
     """Does an h1 clone homomorphism Pol(a) -> Pol(b) exist?
 
     Decided as: Pol(a) is b-colorable.  On success the induced image
-    operations up to ``induce_arity`` are materialized and re-verified to
-    be polymorphisms of b.  Each arity of Pol(a) is enumerated once.
+    operations up to arity 3 are materialized and re-verified to be
+    polymorphisms of b.  Each arity of Pol(a) is enumerated once.
     """
-    polys = _polymorphisms_by_arity(a, budget, cap)
-    free = free_structure_over_polymorphisms(a, b, budget, cap, polys)
+    polys = _polymorphisms_by_arity(a, budget)
+    free = free_structure_over_polymorphisms(a, b, budget, polys)
     res = find_coloring(free, strong=False, budget=budget)
     if res.outcome is not Outcome.FOUND:
         return H1Result(res.outcome, free, nodes=res.nodes)
     # clone_members_to_arity(a, ...), from the enumerations made above
-    members = [op for n in range(1, induce_arity + 1) for op in polys[n]]
+    members = [op for n in range(1, 4) for op in polys[n]]
     induced = tuple(induced_operations(free, res.coloring, members))
     for op in induced:
         if not is_polymorphism(op, b):
@@ -429,8 +424,8 @@ class ProjectionHomResult:
         return self.outcome is Outcome.FOUND
 
 
-def h1_to_projections(a: RelStructure, budget: SearchBudget | None = None,
-                      cap: int = DEFAULT_TABLE_CAP) -> ProjectionHomResult:
+def h1_to_projections(a: RelStructure,
+                      budget: SearchBudget | None = None) -> ProjectionHomResult:
     """Decide h1-homomorphism-to-projections existence two independent ways.
 
     Oracle (a): the homomorphism exists iff no Siggers operation exists.
@@ -440,7 +435,7 @@ def h1_to_projections(a: RelStructure, budget: SearchBudget | None = None,
     sig = has_siggers(a, budget)
     t = _validated_projection_test()
     try:
-        col = h1_homomorphism_exists(a, t, budget, cap)
+        col = h1_homomorphism_exists(a, t, budget)
     except BudgetExceededError:
         col = H1Result(Outcome.BUDGET)
     if sig.outcome is Outcome.BUDGET or col.outcome is Outcome.BUDGET:

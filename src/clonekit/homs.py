@@ -21,7 +21,7 @@ from .search import (
     Outcome,
     SearchBudget,
 )
-from .structures import RelStructure
+from .structures import RelStructure, Signature
 
 
 class SignatureMismatchError(ValueError):
@@ -44,16 +44,6 @@ class HomMap:
 
     def __getitem__(self, x: int) -> int:
         return self.map[x]
-
-    def compose(self, then: "HomMap") -> "HomMap":
-        """x -> then(self(x))."""
-        if self.target_size != then.source_size:
-            raise ValueError("composition size mismatch")
-        return HomMap(self.source_size, then.target_size,
-                      tuple(then.map[v] for v in self.map))
-
-    def image(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.map)))
 
     def is_injective(self) -> bool:
         return len(set(self.map)) == self.source_size
@@ -277,7 +267,6 @@ def add_singletons(a: RelStructure) -> RelStructure:
         taken.add(name)
         pairs.append((name, 1))
         rels[name] = [(v,)]
-    from .structures import Signature
     return RelStructure(a.size, Signature.of(pairs), rels)
 
 

@@ -123,7 +123,7 @@ def find_hagemann_mitschke(target, n: int,
     if not isinstance(target, CloneGenSet):
         raise TypeError("expected a RelStructure or CloneGenSet")
     gen = target
-    members = generate_to_arity(gen, 3, budget)
+    members = generate_to_arity(gen, 3)
     d = gen.domain_size
     # p(x,y,y) and p(x,x,y) as binary tables; a chain is a path from the
     # first projection to the second along these faces
@@ -176,22 +176,22 @@ class MaltsevConditionResult:
     chain: HMChain | None = None
 
 
-def is_n_permutable_somewhere(gen: CloneGenSet, budget: SearchBudget | None = None,
-                              chain_cap: int = 4) -> MaltsevConditionResult:
+def is_n_permutable_somewhere(gen: CloneGenSet,
+                              budget: SearchBudget | None = None) -> MaltsevConditionResult:
     """Is the generated clone congruence n-permutable for some n?
 
     Decided as NOT(strongly colorable by the two-element order); positive
-    answers try to attach a chain for n = 2..chain_cap (the chain may
-    legitimately be absent at these small n).
+    answers try to attach a chain for n = 2..4 (the chain may legitimately
+    be absent at these small n).
     """
-    free = free_structure(gen, boolean_order(), budget)
+    free = free_structure(gen, boolean_order())
     col = find_coloring(free, strong=True, budget=budget)
     if col.outcome is Outcome.BUDGET:
         return MaltsevConditionResult("n-permutable", None, free, col)
     holds = col.outcome is Outcome.REFUTED
     chain = None
     if holds:
-        for n in range(2, chain_cap + 1):
+        for n in range(2, 5):
             res = find_hagemann_mitschke(gen, n, budget)
             if res.found:
                 chain = res.chain
@@ -205,7 +205,7 @@ def is_congruence_modular(gen: CloneGenSet,
 
     Decided as NOT(strongly colorable by the Day structure).
     """
-    free = free_structure(gen, day_structure(), budget)
+    free = free_structure(gen, day_structure())
     col = find_coloring(free, strong=True, budget=budget)
     if col.outcome is Outcome.BUDGET:
         return MaltsevConditionResult("congruence-modular", None, free, col)

@@ -17,7 +17,9 @@ import json
 from . import __version__ as _version
 from .clones import (
     OperationTable,
+    all_polymorphisms,
     clone_from_dict,
+    generate_to_arity,
     is_polymorphism,
     operation_from_dict,
     operation_to_dict,
@@ -26,7 +28,13 @@ from .clones import (
     SIGGERS_SYSTEM,
 )
 from .constructions import PPFormula, PPPowerSpec, pp_power
-from .freestruct import Coloring, FreeStructure, verify_coloring
+from .freestruct import (
+    Coloring,
+    FreeStructure,
+    free_structure,
+    free_structure_over_polymorphisms,
+    verify_coloring,
+)
 from .homs import HomMap, is_hom
 from .maltsev import HMChain, verify_hm_chain
 from .structures import RelStructure, structure_from_dict, structure_to_dict
@@ -201,7 +209,6 @@ def verify_report(report: dict, recompute: bool = True) -> list[str]:
                 _check(problems, op.arity == arity and is_polymorphism(op, a),
                        "emitted table is not a polymorphism")
             if recompute and verdict == "complete":
-                from .clones import all_polymorphisms
                 fresh = all_polymorphisms(a, arity)
                 _check(problems, [op.table for op in fresh] == [op.table for op in tables],
                        "table list does not match recomputation")
@@ -235,15 +242,11 @@ def verify_report(report: dict, recompute: bool = True) -> list[str]:
 
 def _verify_coloring_style(command, report, inputs, verdict, certs, problems,
                            recompute):
-    from .clones import all_polymorphisms
-    from .freestruct import free_structure_over_polymorphisms
-    from .freestruct import free_structure as build_free
-
     def rebuilt_free(free: FreeStructure) -> FreeStructure | None:
         if not recompute:
             return None
         if free.source == "generators" and "clone" in inputs:
-            return build_free(clone_from_dict(inputs["clone"]), free.b)
+            return free_structure(clone_from_dict(inputs["clone"]), free.b)
         if free.source == "polymorphisms" and "structure" in inputs:
             return free_structure_over_polymorphisms(
                 structure_from_dict(inputs["structure"]), free.b)
@@ -278,7 +281,6 @@ def _verify_coloring_style(command, report, inputs, verdict, certs, problems,
             _check(problems, verify_hm_chain(chain), "chain identities fail")
             if "clone" in inputs and recompute:
                 gen = clone_from_dict(inputs["clone"])
-                from .clones import generate_to_arity
                 members = {op.table for op in generate_to_arity(gen, 3)}
                 _check(problems, all(op.table in members for op in chain.ops),
                        "chain operations are not members of the clone")

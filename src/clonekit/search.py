@@ -230,10 +230,10 @@ class Csp:
 
     # -- search ----------------------------------------------------------------
 
-    def solve(self, budget: SearchBudget | None = None,
-              order: str = "mindom") -> tuple[Outcome, tuple[int, ...] | None]:
-        """First solution or refutation.  Node count in ``self.nodes_explored``."""
-        it = self.solutions(budget=budget, order=order)
+    def solve(self, budget: SearchBudget | None = None) -> tuple[Outcome, tuple[int, ...] | None]:
+        """First solution in smallest-domain-first order, or refutation.
+        Node count in ``self.nodes_explored``."""
+        it = self.solutions(budget=budget)
         try:
             sol = next(it)
         except StopIteration:

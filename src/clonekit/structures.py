@@ -8,9 +8,12 @@ backs the membership tests that dominate search.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 # Powers above this many domain elements are refused rather than built;
@@ -76,6 +79,25 @@ class TupleCoding:
     def all_vectors(self) -> Iterable[tuple[int, ...]]:
         for code in range(self.count):
             yield self.decode(code)
+
+
+def shifted_codes(d: int, tables: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:
+    """Per cell, d times the code of the argument vector read from ``tables``
+    (first table most significant).  Adding one more table's cell gives the
+    code with that table as the last argument; with no tables it is all 0."""
+    codes = (0,) * width
+    for t in tables:
+        codes = tuple(map(mul, map(add, codes, t), repeat(d)))
+    return codes
+
+
+def column_cells(d: int, sel: Sequence[Sequence[int]], k: int) -> tuple[int, ...]:
+    """The table cells an operation reads when it is applied column-wise to
+    the ``k``-tuples of ``sel``: cell j codes (t[j] for t in sel)."""
+    if not sel:
+        return (0,) * k
+    *head, last = sel
+    return tuple(map(add, shifted_codes(d, head, k), last))
 
 
 @dataclass(frozen=True)
@@ -174,12 +196,6 @@ class RelStructure:
             pairs.append((name, arity))
             data[name] = tuples
         return RelStructure(size, Signature.of(pairs), data)
-
-    def tuples(self, name: str) -> tuple[tuple[int, ...], ...]:
-        return self.relations[name]
-
-    def has_tuple(self, name: str, t: Sequence[int]) -> bool:
-        return tuple(t) in self._sets[name]
 
     def tuple_set(self, name: str) -> frozenset:
         return self._sets[name]
@@ -368,36 +384,21 @@ def parse_structure(text: str) -> RelStructure:
 # Products
 # ---------------------------------------------------------------------------
 
-def power_structure(a: RelStructure, n: int, cap: int = DEFAULT_POWER_CAP) -> RelStructure:
+def power_structure(a: RelStructure, n: int) -> RelStructure:
     """The n-th power of ``a`` with domain {0..size^n - 1} under TupleCoding.
 
     A tuple of coded n-vectors is in a relation of the power iff every
     coordinate-wise projection is a tuple of ``a``; hence each relation has
-    exactly |R|^n tuples.
+    exactly |R|^n tuples: column j of a selection (t_1..t_n) of them codes
+    coordinate j of the power tuple.
     """
     if n < 1:
         raise ValueError("power exponent must be >= 1")
     dom = a.size**n
-    if dom > cap:
-        raise CapacityError(f"power domain {a.size}^{n} = {dom} exceeds cap {cap}")
-    coding = TupleCoding(a.size, n)
-    rels = {}
-    for name, arity in a.signature.rel_names:
-        base = a.relations[name]
-        out = []
-        # Walk selections (t_1..t_n) in base^n; column j of the selection
-        # encodes coordinate j of the power tuple.
-        stack = [()]
-        for _ in range(n):
-            stack = [s + (t,) for s in stack for t in base]
-        for sel in stack:
-            out.append(tuple(
-                coding.encode(tuple(sel[i][j] for i in range(n)))
-                for j in range(arity)
-            ))
-        rels[name] = out
+    if dom > DEFAULT_POWER_CAP:
+        raise CapacityError(
+            f"power domain {a.size}^{n} = {dom} exceeds cap {DEFAULT_POWER_CAP}")
+    rels = {name: [column_cells(a.size, sel, arity)
+                   for sel in itertools.product(a.relations[name], repeat=n)]
+            for name, arity in a.signature.rel_names}
     return RelStructure(dom, a.signature, rels)
-
-
-def same_signature(a: RelStructure, b: RelStructure) -> bool:
-    return a.signature == b.signature

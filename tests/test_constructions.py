@@ -5,6 +5,7 @@ import time
 import pytest
 
 from clonekit import (
+    CapacityError,
     OperationTable,
     Outcome,
     PPFormula,
@@ -317,6 +318,30 @@ def test_bounded_search_skips_dimensions_below_the_core_size():
     res = bounded_pp_search(hepp_B(), hepp_A(), PPSearchBounds(1, 0, 1))
     assert time.perf_counter() - start < 1.0
     assert res.outcome is Outcome.REFUTED
+
+
+def test_bounded_search_builds_one_candidate_list_per_arity(monkeypatch, le_struct):
+    # s0 and s1 are both unary, so they share one list of one-variable formulas
+    calls = []
+    build = constructions._candidate_formulas
+
+    def counted(a, free, bounds):
+        calls.append(free)
+        return build(a, free, bounds)
+
+    monkeypatch.setattr(constructions, "_candidate_formulas", counted)
+    res = bounded_pp_search(le_struct, le_struct, PPSearchBounds(1, 0, 1))
+    assert res.found
+    assert calls == [2, 1]
+
+
+def test_bounded_search_over_the_power_cap_is_not_a_refutation():
+    # no one-dimensional power maps to b; the 1001**2 elements of the
+    # two-dimensional ones exceed the power cap, so nothing is refuted
+    a = RelStructure.make(1001, {"u": [(0,)]})
+    b = RelStructure.make(1, {"u": []}, arities={"u": 1})
+    with pytest.raises(CapacityError):
+        bounded_pp_search(a, b, PPSearchBounds(2, 0, 1))
 
 
 def test_bounded_search_budget_in_core_computation(monkeypatch, k3s, le_struct):

@@ -70,6 +70,33 @@ def test_carrier_over_polymorphisms_matches_enumeration(le_struct, rxor_struct, 
                    [op.table for op in all_polymorphisms(a, b.size)]
 
 
+def test_free_structure_over_polymorphisms_matches_generated_clone(
+        le_struct, rxor_struct, le_plain, lattice_clone, minority_clone):
+    # min and max generate Pol of the pointed order, minority generates
+    # Pol(rxor_struct): the two builders must give the same free structure,
+    # and a coloring must induce what composing with projections gives
+    t = projection_test_structure()
+    for a, gen in ((le_struct, lattice_clone), (rxor_struct, minority_clone)):
+        for b in (t, le_plain, rxor_struct):
+            by_polys = free_structure_over_polymorphisms(a, b)
+            by_gens = free_structure(gen, b)
+            assert [op.table for op in by_polys.carrier] == \
+                   [op.table for op in by_gens.carrier], (a, b)
+            assert by_polys.gen_index == by_gens.gen_index, (a, b)
+            assert by_polys.lifted == by_gens.lifted, (a, b)
+            res = find_coloring(by_polys)
+            if not res.found:
+                continue
+            index = by_polys.carrier_index()
+            members = clone_members_to_arity(a, 3)
+            want = [tuple(res.coloring.map[index[compose(
+                        f, [projection(a.size, b.size, v + 1) for v in bs]).table]]
+                          for bs in itertools.product(range(b.size), repeat=f.arity))
+                    for f in members]
+            got = induced_operations(by_polys, res.coloring, members)
+            assert [op.table for op in got] == want, (a, b)
+
+
 def test_lifted_relations_are_a_fixpoint(le_plain, minority_clone, lattice_clone):
     # applying any generator componentwise to lifted tuples stays inside
     for gen in (minority_clone, lattice_clone):
@@ -315,9 +342,9 @@ def _as_tables(free):
 
 def test_closure_kernel_matches_naive_closure(monkeypatch):
     # random clones on two and three elements, generators of arity 0-3 and
-    # relations of arity 1-3; each case also runs at the smallest cap that
-    # admits its carrier, where the Cayley tables fill lazily and the block
-    # step has no mark
+    # relations of arity 1-3; each case also runs with the dense-table limit
+    # at the smallest value that admits its carrier, where the Cayley tables
+    # fill lazily and the block step has no mark
     fs = clonekit.freestruct
     ran = set()
 
@@ -346,7 +373,9 @@ def test_closure_kernel_matches_naive_closure(monkeypatch):
         b = RelStructure.make(nb, rels)
         gen = CloneGenSet.of(d, gens)
         try:
-            size = len(generate_to_arity(gen, nb, cap=16))
+            with monkeypatch.context() as m:
+                m.setattr(clonekit.clones, "DEFAULT_TABLE_CAP", 16)
+                size = len(generate_to_arity(gen, nb))
         except CapacityError:
             continue
         # keep the naive closure's full products small
@@ -355,8 +384,9 @@ def test_closure_kernel_matches_naive_closure(monkeypatch):
         free = free_structure(gen, b)
         want = _naive_free(gens, d, b)
         assert _as_tables(free) == want, (gens, rels)
-        small = max(d**nb, len(free.carrier))
-        assert _as_tables(free_structure(gen, b, cap=small)) == want, (gens, rels)
+        with monkeypatch.context() as m:
+            m.setattr(fs, "_DENSE_CELLS", max(d**nb, len(free.carrier)))
+            assert _as_tables(free_structure(gen, b)) == want, (gens, rels)
         checked += 1
         seen |= {(d, "gen", g.arity) for g in gens}
         seen |= {(d, "rel", k) for _, k in b.signature.rel_names}
