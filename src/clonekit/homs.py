@@ -95,13 +95,17 @@ def is_hom(f: HomMap, c: RelStructure, a: RelStructure) -> bool:
 
 def hom_csp(c: RelStructure, a: RelStructure,
             pins: Mapping[int, int] | None = None) -> Csp:
-    """The CSP whose solutions are exactly the homomorphisms c -> a."""
+    """The CSP whose solutions are exactly the homomorphisms c -> a.
+
+    The compiled forms of a's relations are memoised on ``a``, so every CSP
+    that targets ``a`` shares them."""
     _require_same_signature(c, a)
     csp = Csp(c.size, a.size)
     for var, val in (pins or {}).items():
         csp.assign(var, val)
     for name, _ in c.signature.rel_names:
-        csp.add_constraint(c.relations[name], a.relations[name])
+        csp.add_constraint(c.relations[name], a.relations[name],
+                           a._csp_forms.setdefault(name, {}))
     return csp
 
 

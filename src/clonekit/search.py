@@ -4,12 +4,15 @@ Every decision procedure in the package (homomorphism search, polymorphism
 enumeration, identity-constrained table search, coloring search) reduces to
 the same problem shape: variables with bitmask domains and positive table
 constraints.  One call adds one relation on all of its scopes, and the
-relation is compiled once per equality pattern of those scopes.  Binary
-constraints get value-indexed support masks; wider scopes are revised by
-scanning their allowed tuples.  Search is depth-first
-with propagation at every node, ascending value order, and either
-smallest-domain-first or static index variable order (the latter makes
-solution enumeration lexicographic).
+relation is compiled once per equality pattern of those scopes; a caller
+that adds the same relation to many CSPs can pass one memo of compiled forms
+to all of them.  Binary constraints are revised bitwise (Lecoutre and Vion,
+*Enforcing arc consistency using bitwise operations*, 2008): a union table,
+indexed by a whole domain mask in 8-bit chunks, gives the supports of every
+value in it at once.  Wider scopes are revised by scanning their allowed
+tuples.  Search is depth-first with propagation at every node, ascending
+value order, and either smallest-domain-first or static index variable order
+(the latter makes solution enumeration lexicographic).
 """
 
 from __future__ import annotations
@@ -65,6 +68,9 @@ class Csp:
     tuples.  Repeated variables in a scope are collapsed by restricting the
     allowed tuples to the matching diagonal.  Two constraints on the same
     variable pair act as one, on the intersection of their relations.
+    Binary constraints keep two support lists (the supports of each value
+    of one end on the other); the first propagation turns the final lists
+    into union tables, one per distinct list.
     """
 
     def __init__(self, nvars: int, domain_size: int):
@@ -73,10 +79,12 @@ class Csp:
         self.nvars = nvars
         self.domain_size = domain_size
         self.dom = [(1 << domain_size) - 1] * nvars
-        # binary constraints: one support table per unordered var pair
+        # binary constraints: two support lists per unordered var pair
         self._bin_pairs: dict[tuple[int, int], int] = {}
         self._bin_ends: list[tuple[int, int]] = []
         self._bin_sup: list[tuple[list[int], list[int]]] = []
+        # union tables of _bin_sup, built by the first propagation
+        self._bin_tab: list[tuple[list[list[int]], list[list[int]]]] | None = None
         self._var_bins: list[list[int]] = [[] for _ in range(nvars)]
         # wider constraints
         self._nary: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
@@ -96,14 +104,19 @@ class Csp:
         self.restrict(var, (value,))
 
     def add_constraint(self, scopes: Iterable[Sequence[int]],
-                       allowed: Sequence[Sequence[int]]):
+                       allowed: Sequence[Sequence[int]],
+                       compiled: dict[tuple[int, ...], tuple] | None = None):
         """Require every scope in ``scopes`` to take a tuple of ``allowed``.
 
         ``allowed`` is one relation, duplicate-free.  It is compiled once per
         equality pattern of the scopes, and the compiled form is shared by
-        every scope with that pattern.  Empty scopes are ignored.
+        every scope with that pattern.  ``compiled`` is the memo of those
+        forms by pattern; a caller may keep one per relation and pass it to
+        every CSP of the same domain size that takes the relation, since no
+        CSP changes a compiled form.  Empty scopes are ignored.
         """
-        compiled: dict[tuple[int, ...], tuple] = {}
+        if compiled is None:
+            compiled = {}
         for scope in scopes:
             pattern = tuple(map(scope.index, scope))
             if pattern not in compiled:
@@ -141,8 +154,11 @@ class Csp:
 
     def _add_binary(self, x: int, y: int, sup_xy: list[int], sup_yx: list[int]):
         """Attach support lists to the pair (x, y).  The lists may be shared
-        with other pairs, so a second constraint on one pair replaces them
-        with their intersection instead of narrowing them in place."""
+        with other pairs and other CSPs, so a second constraint on one pair
+        replaces them with their intersection instead of narrowing them in
+        place.  Union tables are built from the final lists, so adding a
+        constraint drops any built earlier."""
+        self._bin_tab = None
         if x > y:
             x, y, sup_xy, sup_yx = y, x, sup_yx, sup_xy
         pair = (x, y)
@@ -161,10 +177,34 @@ class Csp:
 
     # -- propagation ---------------------------------------------------------
 
+    def _union_tables(self) -> list[tuple[list[list[int]], list[list[int]]]]:
+        """For each binary constraint, the union tables of its two support
+        lists.  The table of ``sup`` is cut into chunks of 8 values: entry m
+        of chunk c is the union of ``sup[8c + i]`` over the bits i of m, so
+        the supports of a domain mask are the union of one entry per chunk.
+        Equal support lists share one table."""
+        memo: dict[tuple[int, ...], list[list[int]]] = {}
+
+        def table(sup: list[int]) -> list[list[int]]:
+            key = tuple(sup)
+            tab = memo.get(key)
+            if tab is None:
+                tab = memo[key] = []
+                for c in range(0, len(sup), 8):
+                    chunk = [0]
+                    for s in sup[c:c + 8]:
+                        chunk += [m | s for m in chunk]
+                    tab.append(chunk)
+            return tab
+
+        return [(table(sup_xy), table(sup_yx)) for sup_xy, sup_yx in self._bin_sup]
+
     def _propagate(self, dom: list[int], dirty_vars) -> bool:
         """Enforce GAC starting from the given dirty variables; False on wipeout."""
         ends = self._bin_ends
-        sup = self._bin_sup
+        tabs = self._bin_tab
+        if tabs is None:
+            tabs = self._bin_tab = self._union_tables()
         nary = self._nary
         queue = deque(dirty_vars)
         queued = set(queue)
@@ -173,13 +213,14 @@ class Csp:
             queued.discard(var)
             for bi in self._var_bins[var]:
                 x, y = ends[bi]
-                sup_xy, sup_yx = sup[bi]
-                m = 0
+                tab_xy, tab_yx = tabs[bi]
                 dx = dom[x]
-                while dx:
-                    low = dx & -dx
-                    m |= sup_xy[low.bit_length() - 1]
-                    dx ^= low
+                m = tab_xy[0][dx & 255]
+                c = 0
+                while dx > 255:
+                    dx >>= 8
+                    c += 1
+                    m |= tab_xy[c][dx & 255]
                 new_y = dom[y] & m
                 if new_y != dom[y]:
                     if not new_y:
@@ -188,12 +229,13 @@ class Csp:
                     if y not in queued:
                         queue.append(y)
                         queued.add(y)
-                m = 0
                 dy = dom[y]
-                while dy:
-                    low = dy & -dy
-                    m |= sup_yx[low.bit_length() - 1]
-                    dy ^= low
+                m = tab_yx[0][dy & 255]
+                c = 0
+                while dy > 255:
+                    dy >>= 8
+                    c += 1
+                    m |= tab_yx[c][dy & 255]
                 new_x = dom[x] & m
                 if new_x != dom[x]:
                     if not new_x:

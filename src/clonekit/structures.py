@@ -148,6 +148,11 @@ class RelStructure:
     _sets: Mapping[str, frozenset] = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
+    # compiled CSP forms of each relation as a hom target, by equality
+    # pattern; filled by homs.hom_csp
+    _csp_forms: dict[str, dict] = field(
+        init=False, repr=False, compare=False, hash=False, default=None
+    )
 
     def __post_init__(self):
         if self.size < 1:
@@ -158,16 +163,10 @@ class RelStructure:
         sets = {}
         for name, arity in self.signature.rel_names:
             tuples = [tuple(t) for t in self.relations[name]]
-            for t in tuples:
-                if len(t) != arity:
-                    raise StructureError(
-                        f"relation {name!r}: tuple {t} has arity {len(t)}, expected {arity}"
-                    )
-                for v in t:
-                    if not 0 <= v < self.size:
-                        raise StructureError(
-                            f"relation {name!r}: element {v} out of range for size {self.size}"
-                        )
+            values = list(itertools.chain.from_iterable(tuples))
+            if (set(map(len, tuples)) - {arity}
+                    or values and (min(values) < 0 or max(values) >= self.size)):
+                self._reject(name, arity, tuples)
             as_set = frozenset(tuples)
             if len(as_set) != len(tuples):
                 raise StructureError(f"relation {name!r}: duplicate tuples")
@@ -175,6 +174,21 @@ class RelStructure:
             sets[name] = as_set
         object.__setattr__(self, "relations", canon)
         object.__setattr__(self, "_sets", sets)
+        object.__setattr__(self, "_csp_forms", {})
+
+    def _reject(self, name: str, arity: int, tuples):
+        """Raise for the first tuple of ``name`` with a wrong arity or an
+        element out of range."""
+        for t in tuples:
+            if len(t) != arity:
+                raise StructureError(
+                    f"relation {name!r}: tuple {t} has arity {len(t)}, expected {arity}"
+                )
+            for v in t:
+                if not 0 <= v < self.size:
+                    raise StructureError(
+                        f"relation {name!r}: element {v} out of range for size {self.size}"
+                    )
 
     @staticmethod
     def make(size: int, rels: Mapping[str, Iterable[Sequence[int]]],

@@ -164,6 +164,17 @@ def test_siggers_refuted_on_rigid_triangle(k3s):
     assert has_siggers(k3s).outcome is Outcome.REFUTED
 
 
+def test_search_invariants_on_seven_cycle():
+    # node count and table count of the undirected 7-cycle, a core with no
+    # Siggers operation; any change to propagation strength or to the
+    # variable or value order moves them
+    edges = [(i, (i + 1) % 7) for i in range(7)]
+    c7 = RelStructure.make(7, {"edge": edges + [(b, a) for a, b in edges]})
+    res = has_siggers(c7)
+    assert res.outcome is Outcome.REFUTED and res.nodes == 77
+    assert len(all_polymorphisms(c7, 3)) == 42
+
+
 def test_maltsev_on_affine_structure(rxor_struct):
     res = find_operation_satisfying(
         rxor_struct, parse_identity_system("p(x,y,y) = x; p(x,x,y) = y;"))

@@ -19,6 +19,7 @@ from clonekit import (
 )
 from clonekit.freestruct import CrossCheckError
 from clonekit.homs import SignatureMismatchError
+from clonekit.search import Csp
 
 
 
@@ -188,3 +189,23 @@ def test_failed_witness_check_raises_cross_check_error(monkeypatch, path3, k2):
     with pytest.raises(CrossCheckError):
         find_homomorphism(path3, k2)
     assert clonekit.CrossCheckError is CrossCheckError
+
+
+def test_target_relations_compile_once_per_pattern(monkeypatch, le_struct):
+    # the compiled forms of a target's relations live on the target, so a
+    # second search into it compiles nothing
+    compiled = []
+    compile_ = Csp._compile
+
+    def counting(self, pattern, allowed):
+        compiled.append((tuple(allowed), pattern))
+        return compile_(self, pattern, allowed)
+
+    monkeypatch.setattr(Csp, "_compile", counting)
+    # le on a distinct pair and on a repeated variable: two patterns
+    x = RelStructure.make(3, {"le": [(0, 0), (0, 1), (1, 2)],
+                              "s0": [(0,)], "s1": [(2,)]})
+    for _ in range(2):
+        assert find_homomorphism(x, le_struct).found
+    assert sorted(pattern for _, pattern in compiled) == [(0,), (0,), (0, 0), (0, 1)]
+    assert len(set(compiled)) == len(compiled)

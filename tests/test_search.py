@@ -109,6 +109,27 @@ def test_kernel_matches_brute_force_and_naive_gac():
     assert all(n >= 20 for n in seen.values()), seen
 
 
+def test_kernel_matches_brute_force_past_one_chunk():
+    # domains of 9 and 17 values need two and three 8-value chunks of the
+    # union tables; drawn from their own generator, after the draws above
+    rng = random.Random(917)
+    narrowed = 0
+    for d, max_vars, draws in ((9, 4, 20), (17, 3, 8)):
+        for case in range(draws):
+            nvars = rng.randint(2, max_vars)
+            calls = random_calls(rng, nvars, d)
+            expected = brute_force(nvars, d, calls)
+            assert list(build(nvars, d, calls).solutions(order="index")) == expected, (d, case)
+            naive = naive_gac(nvars, d, calls)
+            fix = root_fixpoint(build(nvars, d, calls))
+            if any(not s for s in naive):
+                assert fix is None, (d, case)
+            else:
+                assert fix == [sum(1 << v for v in s) for s in naive], (d, case)
+                narrowed += any(max(s) >= 8 and len(s) < d for s in naive)
+    assert narrowed >= 10
+
+
 def test_relation_shared_by_two_pairs_keeps_each_pair_apart():
     # ne on (0,1) and (3,2) shares one compiled form; le then narrows (0,1) only
     csp = Csp(4, 2)

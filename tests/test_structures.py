@@ -10,7 +10,7 @@ from clonekit import (
     power_structure,
     serialize_structure,
 )
-from clonekit.structures import structure_from_dict, structure_to_dict
+from clonekit.structures import StructureError, structure_from_dict, structure_to_dict
 
 from conftest import hepp_A
 
@@ -52,6 +52,22 @@ def test_structure_validation():
         RelStructure(2, Signature.of([("r", 2)]), {"r": [(0,)]})  # arity
     with pytest.raises(Exception):
         RelStructure(2, Signature.of([("r", 1)]), {"r": [(0,), (0,)]})  # dup
+
+
+def test_structure_validation_messages():
+    sig = Signature.of([("r", 2)])
+    cases = [
+        ([(0, 1), (1,)], "relation 'r': tuple (1,) has arity 1, expected 2"),
+        ([(0, 1), (1, 2)], "relation 'r': element 2 out of range for size 2"),
+        ([(0, -1)], "relation 'r': element -1 out of range for size 2"),
+        # the first bad tuple decides, whichever check it fails
+        ([(0, 3), (0, 1, 1)], "relation 'r': element 3 out of range for size 2"),
+        ([(0, 1, 1), (0, 3)], "relation 'r': tuple (0, 1, 1) has arity 3, expected 2"),
+    ]
+    for tuples, message in cases:
+        with pytest.raises(StructureError) as err:
+            RelStructure(2, sig, {"r": tuples})
+        assert str(err.value) == message
 
 
 def test_two_element_order_parses():
