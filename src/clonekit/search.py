@@ -8,11 +8,13 @@ relation is compiled once per equality pattern of those scopes; a caller
 that adds the same relation to many CSPs can pass one memo of compiled forms
 to all of them.  Binary constraints are revised bitwise (Lecoutre and Vion,
 *Enforcing arc consistency using bitwise operations*, 2008): a union table,
-indexed by a whole domain mask in 8-bit chunks, gives the supports of every
-value in it at once.  Wider scopes are revised by scanning their allowed
-tuples.  Search is depth-first with propagation at every node, ascending
-value order, and either smallest-domain-first or static index variable order
-(the latter makes solution enumeration lexicographic).
+indexed by a domain mask in 8-bit chunks, gives the supports of the up to 8
+values of one chunk at once.  A revision reads only the chunks that hold
+domain values, and each table entry is computed the first time it is read.
+Wider scopes are revised by scanning their allowed tuples.  Search is
+depth-first with propagation at every node, ascending value order, and
+either smallest-domain-first or static index variable order (the latter
+makes solution enumeration lexicographic).
 """
 
 from __future__ import annotations
@@ -69,8 +71,9 @@ class Csp:
     allowed tuples to the matching diagonal.  Two constraints on the same
     variable pair act as one, on the intersection of their relations.
     Binary constraints keep two support lists (the supports of each value
-    of one end on the other); the first propagation turns the final lists
-    into union tables, one per distinct list.
+    of one end on the other); the first propagation sets up an empty union
+    table for each distinct final list, and revisions fill in the entries
+    they read.
     """
 
     def __init__(self, nvars: int, domain_size: int):
@@ -83,8 +86,8 @@ class Csp:
         self._bin_pairs: dict[tuple[int, int], int] = {}
         self._bin_ends: list[tuple[int, int]] = []
         self._bin_sup: list[tuple[list[int], list[int]]] = []
-        # union tables of _bin_sup, built by the first propagation
-        self._bin_tab: list[tuple[list[list[int]], list[list[int]]]] | None = None
+        # union tables of _bin_sup, set up by the first propagation
+        self._bin_tab: list[tuple[list[list], list[list]]] | None = None
         self._var_bins: list[list[int]] = [[] for _ in range(nvars)]
         # wider constraints
         self._nary: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
@@ -156,8 +159,8 @@ class Csp:
         """Attach support lists to the pair (x, y).  The lists may be shared
         with other pairs and other CSPs, so a second constraint on one pair
         replaces them with their intersection instead of narrowing them in
-        place.  Union tables are built from the final lists, so adding a
-        constraint drops any built earlier."""
+        place.  Union tables stand for the final lists, so adding a
+        constraint drops any set up earlier."""
         self._bin_tab = None
         if x > y:
             x, y, sup_xy, sup_yx = y, x, sup_yx, sup_xy
@@ -177,24 +180,21 @@ class Csp:
 
     # -- propagation ---------------------------------------------------------
 
-    def _union_tables(self) -> list[tuple[list[list[int]], list[list[int]]]]:
+    def _union_tables(self) -> list[tuple[list[list], list[list]]]:
         """For each binary constraint, the union tables of its two support
         lists.  The table of ``sup`` is cut into chunks of 8 values: entry m
         of chunk c is the union of ``sup[8c + i]`` over the bits i of m, so
         the supports of a domain mask are the union of one entry per chunk.
-        Equal support lists share one table."""
-        memo: dict[tuple[int, ...], list[list[int]]] = {}
+        Entries start as None and are filled by the first revision that
+        reads them.  Equal support lists share one table."""
+        memo: dict[tuple[int, ...], list[list]] = {}
 
-        def table(sup: list[int]) -> list[list[int]]:
+        def table(sup: list[int]) -> list[list]:
             key = tuple(sup)
             tab = memo.get(key)
             if tab is None:
-                tab = memo[key] = []
-                for c in range(0, len(sup), 8):
-                    chunk = [0]
-                    for s in sup[c:c + 8]:
-                        chunk += [m | s for m in chunk]
-                    tab.append(chunk)
+                tab = memo[key] = [[None] * (1 << min(8, len(sup) - c))
+                                   for c in range(0, len(sup), 8)]
             return tab
 
         return [(table(sup_xy), table(sup_yx)) for sup_xy, sup_yx in self._bin_sup]
@@ -202,6 +202,7 @@ class Csp:
     def _propagate(self, dom: list[int], dirty_vars) -> bool:
         """Enforce GAC starting from the given dirty variables; False on wipeout."""
         ends = self._bin_ends
+        sups = self._bin_sup
         tabs = self._bin_tab
         if tabs is None:
             tabs = self._bin_tab = self._union_tables()
@@ -215,12 +216,23 @@ class Csp:
                 x, y = ends[bi]
                 tab_xy, tab_yx = tabs[bi]
                 dx = dom[x]
-                m = tab_xy[0][dx & 255]
-                c = 0
+                m = 0
+                # the nonzero chunks of the domain, highest first
                 while dx > 255:
-                    dx >>= 8
-                    c += 1
-                    m |= tab_xy[c][dx & 255]
+                    shift = (dx.bit_length() - 1) & -8
+                    bits = dx >> shift
+                    chunk = tab_xy[shift >> 3]
+                    part = chunk[bits]
+                    if part is None:
+                        part = chunk[bits] = _chunk_union(sups[bi][0], shift, bits)
+                    m |= part
+                    dx ^= bits << shift
+                if dx:
+                    chunk = tab_xy[0]
+                    part = chunk[dx]
+                    if part is None:
+                        part = chunk[dx] = _chunk_union(sups[bi][0], 0, dx)
+                    m |= part
                 new_y = dom[y] & m
                 if new_y != dom[y]:
                     if not new_y:
@@ -230,12 +242,22 @@ class Csp:
                         queue.append(y)
                         queued.add(y)
                 dy = dom[y]
-                m = tab_yx[0][dy & 255]
-                c = 0
+                m = 0
                 while dy > 255:
-                    dy >>= 8
-                    c += 1
-                    m |= tab_yx[c][dy & 255]
+                    shift = (dy.bit_length() - 1) & -8
+                    bits = dy >> shift
+                    chunk = tab_yx[shift >> 3]
+                    part = chunk[bits]
+                    if part is None:
+                        part = chunk[bits] = _chunk_union(sups[bi][1], shift, bits)
+                    m |= part
+                    dy ^= bits << shift
+                if dy:
+                    chunk = tab_yx[0]
+                    part = chunk[dy]
+                    if part is None:
+                        part = chunk[dy] = _chunk_union(sups[bi][1], 0, dy)
+                    m |= part
                 new_x = dom[x] & m
                 if new_x != dom[x]:
                     if not new_x:
@@ -360,3 +382,12 @@ class Csp:
             if self._propagate(child, (var,)):
                 cur = child
 
+
+def _chunk_union(sup: list[int], base: int, bits: int) -> int:
+    """The union of ``sup[base + i]`` over the bits i of ``bits``."""
+    u = 0
+    while bits:
+        low = bits & -bits
+        u |= sup[base + low.bit_length() - 1]
+        bits ^= low
+    return u

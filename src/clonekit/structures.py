@@ -139,7 +139,10 @@ class RelStructure:
     """A finite relational structure on domain {0..size-1}.
 
     ``relations`` maps each signature symbol to its canonically sorted tuple
-    set.  Instances are immutable and safe to share across threads.
+    set.  Instances are immutable and safe to share across threads; the one
+    mutable field, ``_csp_forms``, is a cache that ``homs.hom_csp`` fills
+    lazily with compiled CSP forms of the relations, which are pure
+    functions of them and never change once stored.
     """
 
     size: int
