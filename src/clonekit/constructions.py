@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -23,7 +24,7 @@ from .clones import (
     preservation_scopes,
     preserves,
 )
-from .homs import HomMap, core_of, hom_equivalent
+from .homs import HomMap, core_of, find_homomorphism, hom_equivalent
 from .search import BudgetExceededError, CrossCheckError, Csp, Outcome, SearchBudget
 from .structures import (
     DEFAULT_POWER_CAP,
@@ -262,16 +263,22 @@ def is_pp_definable(a: RelStructure, rel: Iterable[Sequence[int]], arity: int,
     limit = min(m, max_arity)
     if not complement or m == 0:
         return PPDefResult(True, True, 0)
+    # every CSP below has domain size d, so each relation is compiled once
+    # per equality pattern: a's relations into the memo they share as hom
+    # targets, the complement into one memo of this call
+    complement_forms = {}
     for n in range(1, limit + 1):
         if d**n > DEFAULT_TABLE_CAP:
             return PPDefResult(True, False, n - 1)
-        preservation = [(list(preservation_scopes(a, name, n)), a.relations[name])
+        preservation = [(list(preservation_scopes(a, name, n)), a.relations[name],
+                         a._csp_forms.setdefault(name, {}))
                         for name, _ in a.signature.rel_names]
         for sel in itertools.combinations(tuples, n):
             csp = Csp(d**n, d)
-            for scopes, allowed in preservation:
-                csp.add_constraint(scopes, allowed)
-            csp.add_constraint([column_cells(d, sel, arity)], complement)
+            for scopes, allowed, forms in preservation:
+                csp.add_constraint(scopes, allowed, forms)
+            csp.add_constraint([column_cells(d, sel, arity)], complement,
+                               complement_forms)
             outcome, sol = csp.solve(budget=budget)
             if outcome is Outcome.BUDGET:
                 raise BudgetExceededError("pp-definability budget exhausted")
@@ -441,77 +448,140 @@ def bounded_pp_search(a: RelStructure, b: RelStructure, bounds: PPSearchBounds,
     """Enumerate pp-power specs within bounds until one makes b
     homomorphically equivalent to the power.
 
-    A REFUTED outcome means "no spec within these bounds", never a proof
-    that b cannot be pp-constructed from a.  Reaching a dimension whose
-    power exceeds ``DEFAULT_POWER_CAP`` elements raises CapacityError.
+    Picks (one candidate formula per relation of b) are tried in order of
+    their total atom count, each with one ``hom_equivalent``.  Picks are
+    pruned by prefix, exactly: once candidates for the first i relations are
+    chosen, the partial power with those relations filled and the others
+    empty must map to b, or no pick that extends the prefix can, since a
+    map from the whole power to b is one from every partial power.  The
+    surviving picks keep their order, so the first FOUND spec and its maps
+    are those of the unpruned enumeration.
+
+    The budget covers the whole search: ``node_limit`` counts the nodes of
+    every prefix and pick search together, and ``time_limit_ms`` runs from
+    the call.  A REFUTED outcome means "no spec within these bounds", never
+    a proof that b cannot be pp-constructed from a.  Reaching a dimension
+    whose power exceeds ``DEFAULT_POWER_CAP`` elements raises CapacityError.
     """
     budget = budget or SearchBudget()
+    deadline = None
+    if budget.time_limit_ms is not None:
+        deadline = time.monotonic() + budget.time_limit_ms / 1000.0
     nodes_used = 0
-    # a structure homomorphically equivalent to b has at least |core(b)|
-    # elements, and every power of a has that many when |a| >= |b|
+
+    def next_budget() -> SearchBudget:
+        """The budget of the next search: the time left until the deadline."""
+        if deadline is None:
+            return budget
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise BudgetExceededError("time limit exceeded")
+        return SearchBudget(budget.node_limit, left * 1000.0)
+
+    def spend(nodes: int, outcome: Outcome):
+        nonlocal nodes_used
+        nodes_used += nodes
+        if budget.node_limit is not None and nodes_used > budget.node_limit:
+            raise BudgetExceededError("node limit exceeded")
+        if outcome is Outcome.BUDGET:
+            raise BudgetExceededError("search budget exhausted")
+
     try:
-        least = core_of(b, budget).core.size if a.size < b.size else 1
+        # a structure homomorphically equivalent to b has at least |core(b)|
+        # elements, and every power of a has that many when |a| >= |b|
+        least = core_of(b, next_budget()).core.size if a.size < b.size else 1
+        for dim in range(1, bounds.max_dimension + 1):
+            dom = a.size**dim
+            if dom > DEFAULT_POWER_CAP:
+                raise CapacityError(f"pp-power domain {dom} exceeds cap {DEFAULT_POWER_CAP}")
+            if dom < least:
+                continue
+            candidates = _encoded_candidates(a, b, dim, bounds)
+            if candidates is None:
+                continue
+
+            def viable(prefix) -> bool:
+                partial = find_homomorphism(_pick_power(dom, b, prefix), b, next_budget())
+                spend(partial.nodes, partial.outcome)
+                return partial.found
+
+            out_rels = b.signature.rel_names
+            max_total = bounds.max_atoms * len(out_rels)
+            memo = [{} for _ in out_rels]  # prefix answers, by prefix length
+            for total in range(max_total + 1):
+                for picks in _picks_with_total(candidates, total, viable, memo):
+                    power = _pick_power(dom, b, picks)
+                    eq = hom_equivalent(power, b, next_budget())
+                    spend(eq.nodes, eq.outcome)
+                    if eq.found:
+                        spec = PPPowerSpec(dim, tuple(
+                            (name, arity, item[1])
+                            for (name, arity), item in zip(out_rels, picks)))
+                        return BoundedSearchResult(Outcome.FOUND, bounds, spec, power,
+                                                   eq.forward, eq.backward)
     except BudgetExceededError:
         return BoundedSearchResult(Outcome.BUDGET, bounds)
-    for dim in range(1, bounds.max_dimension + 1):
-        dom = a.size**dim
-        if dom > DEFAULT_POWER_CAP:
-            raise CapacityError(f"pp-power domain {dom} exceeds cap {DEFAULT_POWER_CAP}")
-        if dom < least:
-            continue
-        coding = TupleCoding(a.size, dim)
-        out_rels = list(b.signature.rel_names)
-        by_arity = {}  # relations of one arity share their candidate list
-        candidates = []
-        for name, arity in out_rels:
-            if arity not in by_arity:
-                by_arity[arity] = [
-                    (natoms, phi, tuple(
-                        tuple(coding.encode(t[j * dim:(j + 1) * dim]) for j in range(arity))
-                        for t in sat))
-                    for natoms, phi, sat in _candidate_formulas(a, arity * dim, bounds)]
-            # a hom b -> power needs nonempty images for nonempty relations
-            encoded = [c for c in by_arity[arity] if c[2] or not b.relations[name]]
-            if not encoded:
-                candidates = None
-                break
-            candidates.append(encoded)
-        if candidates is None:
-            continue
-        # iterate assignments ordered by total atom count
-        max_total = bounds.max_atoms * len(out_rels)
-        for total in range(max_total + 1):
-            for picks in _picks_with_total(candidates, total):
-                rels = {out_rels[i][0]: list(picks[i][2]) for i in range(len(out_rels))}
-                power = RelStructure(dom, b.signature, rels)
-                eq = hom_equivalent(power, b, budget)
-                nodes_used += eq.nodes
-                if budget.node_limit is not None and nodes_used > budget.node_limit:
-                    return BoundedSearchResult(Outcome.BUDGET, bounds)
-                if eq.outcome is Outcome.BUDGET:
-                    return BoundedSearchResult(Outcome.BUDGET, bounds)
-                if eq.found:
-                    spec = PPPowerSpec(dim, tuple(
-                        (out_rels[i][0], out_rels[i][1], picks[i][1])
-                        for i in range(len(out_rels))))
-                    return BoundedSearchResult(Outcome.FOUND, bounds, spec, power,
-                                               eq.forward, eq.backward)
     return BoundedSearchResult(Outcome.REFUTED, bounds)
 
 
-def _picks_with_total(candidates, total):
+def _encoded_candidates(a: RelStructure, b: RelStructure, dim: int,
+                        bounds: PPSearchBounds):
+    """Per relation of b, its candidates (atom count, formula, tuples of the
+    power) at dimension ``dim``; None when some relation has none."""
+    coding = TupleCoding(a.size, dim)
+    by_arity = {}  # relations of one arity share their candidate list
+    candidates = []
+    for name, arity in b.signature.rel_names:
+        if arity not in by_arity:
+            by_arity[arity] = [
+                (natoms, phi, tuple(
+                    tuple(coding.encode(t[j * dim:(j + 1) * dim]) for j in range(arity))
+                    for t in sat))
+                for natoms, phi, sat in _candidate_formulas(a, arity * dim, bounds)]
+        # a hom b -> power needs nonempty images for nonempty relations
+        encoded = [c for c in by_arity[arity] if c[2] or not b.relations[name]]
+        if not encoded:
+            return None
+        candidates.append(encoded)
+    return candidates
+
+
+def _pick_power(dom: int, b: RelStructure, picks) -> RelStructure:
+    """The power on ``dom`` elements whose first len(picks) relations of b
+    hold the picked candidates' tuples; the later relations are empty."""
+    rels = {name: () for name in b.signature.names()}
+    rels.update(zip(b.signature.names(), (item[2] for item in picks)))
+    return RelStructure(dom, b.signature, rels)
+
+
+def _picks_with_total(candidates, total, viable, memo):
     """All ways to pick one candidate per relation with atom counts summing
-    to ``total``; deterministic order."""
-    def rec(i, remaining):
-        if i == len(candidates):
+    to ``total``, in lexicographic order of candidate indices.
+
+    A prefix of 1 <= i < n picks is extended only if ``viable(prefix)``.
+    Its answer is kept in ``memo[i]``, keyed by the prefix's candidate
+    indices read as one mixed-radix integer, so that every total asks about
+    each prefix at most once.
+    """
+    n = len(candidates)
+
+    def rec(i, remaining, code, prefix):
+        if i == n:
             if remaining == 0:
-                yield ()
+                yield prefix
             return
-        for item in candidates[i]:
+        if i:
+            ok = memo[i].get(code)
+            if ok is None:
+                ok = memo[i][code] = viable(prefix)
+            if not ok:
+                return
+        radix = len(candidates[i])
+        for idx, item in enumerate(candidates[i]):
             if item[0] <= remaining:
-                for rest in rec(i + 1, remaining - item[0]):
-                    yield (item,) + rest
-    return rec(0, total)
+                yield from rec(i + 1, remaining - item[0], code * radix + idx,
+                               prefix + (item,))
+    return rec(0, total, 0, ())
 
 
 # ---------------------------------------------------------------------------

@@ -140,9 +140,10 @@ class RelStructure:
 
     ``relations`` maps each signature symbol to its canonically sorted tuple
     set.  Instances are immutable and safe to share across threads; the one
-    mutable field, ``_csp_forms``, is a cache that ``homs.hom_csp`` fills
-    lazily with compiled CSP forms of the relations, which are pure
-    functions of them and never change once stored.
+    mutable field, ``_csp_forms``, is a cache of compiled CSP forms of the
+    relations over this domain, filled lazily by ``homs.hom_csp`` and
+    ``constructions.is_pp_definable``; the forms are pure functions of the
+    relations and never change once stored.
     """
 
     size: int
@@ -151,8 +152,8 @@ class RelStructure:
     _sets: Mapping[str, frozenset] = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
-    # compiled CSP forms of each relation as a hom target, by equality
-    # pattern; filled by homs.hom_csp
+    # compiled CSP forms of each relation over this domain, by equality
+    # pattern; filled by homs.hom_csp and constructions.is_pp_definable
     _csp_forms: dict[str, dict] = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )

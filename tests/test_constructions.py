@@ -17,6 +17,7 @@ from clonekit import (
     bounded_pp_search,
     check_pp_constructible,
     evaluate_pp,
+    hom_equivalent,
     identity_power_spec,
     is_polymorphism,
     is_pp_definable,
@@ -28,9 +29,9 @@ from clonekit import (
     satisfies_system,
     verify_pp_interpretation,
 )
-from clonekit import constructions
+from clonekit import SearchBudget, constructions, homs
 from clonekit.clones import parse_identity_system
-from clonekit.search import BudgetExceededError
+from clonekit.search import BudgetExceededError, Csp
 
 from conftest import LE, MIN2, MINORITY, hepp_A, hepp_Ap, hepp_B
 
@@ -161,6 +162,22 @@ def test_hepp_unary_subsets_have_cardinality_one_or_four():
         res = is_pp_definable(a, [(v,) for v in subset], 1, max_arity=4)
         assert res.complete
         assert res.definable == (len(subset) in (1, 4))
+
+
+def test_pp_definability_compiles_each_relation_pattern_once(monkeypatch, k3):
+    # 56 selections over arities 1-4 each build a CSP on the same two
+    # relations, the edge relation and its complement
+    compiled = []
+    compile_ = Csp._compile
+
+    def counted(self, pattern, allowed):
+        compiled.append((id(allowed), pattern))
+        return compile_(self, pattern, allowed)
+
+    monkeypatch.setattr(Csp, "_compile", counted)
+    res = is_pp_definable(k3, k3.relations["edge"], 2)
+    assert res.definable and res.arity_searched == 4
+    assert len(compiled) == len(set(compiled)) == 2
 
 
 def test_full_relation_is_definable(le_struct):
@@ -350,6 +367,118 @@ def test_bounded_search_budget_in_core_computation(monkeypatch, k3s, le_struct):
     monkeypatch.setattr(constructions, "core_of", exhausted)
     res = bounded_pp_search(le_struct, k3s, PPSearchBounds(1, 0, 1))
     assert res.outcome is Outcome.BUDGET
+
+
+def test_bounded_search_time_limit_covers_the_whole_search():
+    # each search alone is far shorter than 50 ms, but the whole search is
+    # not: the candidates alone take longer, so no pick search may start
+    start = time.perf_counter()
+    res = bounded_pp_search(hepp_A(), hepp_B(), PPSearchBounds(1, 0, 2),
+                            SearchBudget(time_limit_ms=50))
+    assert res.outcome is Outcome.BUDGET
+    assert time.perf_counter() - start < 3.0
+
+
+def test_bounded_search_node_limit_in_a_prefix_check_is_not_a_refutation():
+    # K4 has no 3-coloring, so no power of K4 (with its point) maps to K3
+    # (with its point); refuting K4 -> K3 takes two nodes, so under a
+    # one-node limit the prefix check of the edge relation runs out of
+    # budget, which must not prune it into a refutation
+    k4 = RelStructure.make(4, {"edge": [(x, y) for x in range(4) for y in range(4) if x != y],
+                               "pt": [(0,)]})
+    k3 = RelStructure.make(3, {"edge": [(x, y) for x in range(3) for y in range(3) if x != y],
+                               "pt": [(0,)]})
+    bounds = PPSearchBounds(1, 0, 1)
+    assert bounded_pp_search(k4, k3, bounds).outcome is Outcome.REFUTED
+    res = bounded_pp_search(k4, k3, bounds, SearchBudget(node_limit=1))
+    assert res.outcome is Outcome.BUDGET
+
+
+def unpruned_pp_search(a, b, bounds):
+    """Oracle: every pick of every dimension in order of its total atom
+    count, each power built by pp_power and run through hom_equivalent."""
+    names = b.signature.rel_names
+    for dim in range(1, bounds.max_dimension + 1):
+        lists = [[(natoms, phi) for natoms, phi, _ in
+                  constructions._candidate_formulas(a, k * dim, bounds)]
+                 for _, k in names]
+        for total in range(bounds.max_atoms * len(names) + 1):
+            for picks in itertools.product(*lists):
+                if sum(natoms for natoms, _ in picks) != total:
+                    continue
+                spec = PPPowerSpec(dim, tuple(
+                    (name, k, phi) for (name, k), (_, phi) in zip(names, picks)))
+                power = pp_power(a, spec)
+                eq = hom_equivalent(power, b)
+                if eq.found:
+                    return Outcome.FOUND, spec, power, eq.forward, eq.backward
+    return Outcome.REFUTED, None, None, None, None
+
+
+def random_structure(rng, size, nrels, arities):
+    rels = {}
+    for j in range(nrels):
+        k = rng.choice(arities)
+        cube = list(itertools.product(range(size), repeat=k))
+        rels[f"r{j}"] = rng.sample(cube, rng.randint(1, len(cube)))
+    return RelStructure.make(size, rels)
+
+
+def has_constant_endomorphism(b):
+    return any(all((v,) * k in b.tuple_set(name) for name, k in b.signature.rel_names)
+               for v in range(b.size))
+
+
+@pytest.mark.parametrize("bounds", [PPSearchBounds(1, 0, 1), PPSearchBounds(2, 0, 1)])
+def test_bounded_search_matches_unpruned_enumeration(monkeypatch, bounds):
+    # b has two relations, so every pick has a prefix to check, and no
+    # constant endomorphism, which any nonempty power would map onto
+    refuted_prefixes = []
+    search = constructions.find_homomorphism
+
+    def counted(*args, **kwargs):
+        res = search(*args, **kwargs)
+        refuted_prefixes.append(res.outcome is Outcome.REFUTED)
+        return res
+
+    monkeypatch.setattr(constructions, "find_homomorphism", counted)
+    rng = random.Random(20 + bounds.max_dimension)
+    outcomes = []
+    while len(outcomes) < 25:
+        a = random_structure(rng, rng.choice((2, 3)), rng.choice((1, 2)), (1, 2, 3))
+        b = random_structure(rng, 2, 2, (1, 2))
+        if has_constant_endomorphism(b):
+            continue
+        res = bounded_pp_search(a, b, bounds)
+        want = unpruned_pp_search(a, b, bounds)
+        assert (res.outcome, res.spec, res.power, res.forward, res.backward) == want
+        outcomes.append(res.outcome)
+    assert set(outcomes) == {Outcome.FOUND, Outcome.REFUTED}
+    assert sum(refuted_prefixes) > 0
+
+
+def test_bounded_search_hepp_result_pinned_with_few_hom_searches(monkeypatch):
+    searches = []
+    search = homs.find_homomorphism
+
+    def counted(*args, **kwargs):
+        searches.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(homs, "find_homomorphism", counted)
+    monkeypatch.setattr(constructions, "find_homomorphism", counted)
+    res = bounded_pp_search(hepp_A(), hepp_B(), PPSearchBounds(1, 0, 1))
+    assert res.found
+    assert res.spec == PPPowerSpec(1, (
+        ("R00", 3, PPFormula(3, 0, (("R00", (0, 1, 2)),))),
+        ("R10", 3, PPFormula(3, 0, (("R01", (0, 1, 2)),))),
+        ("s00", 1, PPFormula(1, 0, (("R00", (0, 0, 0)),))),
+        ("s10", 1, PPFormula(1, 0, (("R01", (0, 0, 0)),))),
+    ))
+    assert res.forward.map == (0, 1, 0, 1)
+    assert res.backward.map == (0, 1)
+    # every pick tried without pruning took 5,251 searches
+    assert len(searches) < 1000
 
 
 def test_verify_pp_interpretation_accepts_hepp_quotient():
