@@ -1,12 +1,18 @@
 """Relational and algebraic construction operators.
 
 Primitive positive formulas are evaluated by joining atom relations with
-early pruning.  pp-powers regroup a kn-ary satisfaction set into k blocks
-of n coded coordinates.  Definability of a candidate relation is decided
-through the polymorphism side of the Galois connection: a relation is
-pp-definable iff no polymorphism violates it, and arity |R| suffices for a
-complete answer.  Reflections transport operation sets along a pair of
-maps h1: B -> A, h2: A -> B.
+early pruning.  The bounded pp search joins no candidate formula: it
+evaluates each pool atom once over all free + e variables as a bitmask over
+their ``TupleCoding`` codes (first variable most significant), ANDs the
+masks of a formula's atoms, which is exact because every mask ranges over
+all of the variables, and projects out the existentials, the last e
+variables, by testing each block of d^e bits for nonzero.  pp-powers
+regroup a kn-ary satisfaction set into k blocks of n coded coordinates.
+Definability of a candidate relation is decided through the polymorphism
+side of the Galois connection: a relation is pp-definable iff no
+polymorphism violates it, and arity |R| suffices for a complete answer.
+Reflections transport operation sets along a pair of maps h1: B -> A,
+h2: A -> B.
 """
 
 from __future__ import annotations
@@ -395,50 +401,74 @@ class BoundedSearchResult:
         return self.outcome is Outcome.FOUND
 
 
+def _atom_mask(a: RelStructure, nv: int, atoms, eq_atoms) -> int:
+    """The satisfaction set of one atom over all ``nv`` variables, as a
+    bitmask whose bit c is the tuple with ``TupleCoding`` code c."""
+    coding = TupleCoding(a.size, nv)
+    mask = 0
+    for t in evaluate_pp(a, PPFormula(nv, 0, atoms, eq_atoms)):
+        mask |= 1 << coding.encode(t)
+    return mask
+
+
 def _candidate_formulas(a: RelStructure, free: int, bounds: PPSearchBounds):
     """Semantically distinct candidate formulas with ``free`` free variables,
-    ordered by (atom count, representation).  Existential-variable
-    renamings are pruned by keeping one evaluation result per tuple set."""
-    atoms_pool = []
+    ordered by (atom count, existential count, atom combination), each with
+    its sorted satisfaction set.  Of the formulas with one satisfaction set,
+    the first in this order is kept.
+
+    No combination is joined.  For each existential count e, each pool atom
+    is evaluated once as a formula whose free variables are all free + e
+    variables, stored as a bitmask over their d^(free+e) ``TupleCoding``
+    codes (first variable most significant).  Since every atom is evaluated
+    over all of the variables, a combination's satisfaction set over them is
+    exactly the AND of its atoms' masks, and the full mask for no atoms.
+    The existentials are the last e variables, so the free tuple with code
+    f survives projection iff bits f*d^e .. (f+1)*d^e - 1 are not all zero.
+    """
+    d = a.size
+    free_tuples = list(itertools.product(range(d), repeat=free))
+    seen = set()
+    ordered = []
+    pools = []
     for e in range(bounds.max_existentials + 1):
         nv = free + e
-        pool = []
+        pool = []  # (mask, relational atom, equality atom, mentions x_{nv-1})
         for name, ar in a.signature.rel_names:
             for args in itertools.product(range(nv), repeat=ar):
-                pool.append(((name, args), None))
+                pool.append((_atom_mask(a, nv, ((name, args),), ()),
+                             (name, args), None, nv - 1 in args))
         for i in range(nv):
             for j in range(i + 1, nv):
-                pool.append((None, (i, j)))
-        atoms_pool.append(pool)
-    seen_sets = {}
-    ordered = []
+                pool.append((_atom_mask(a, nv, (), ((i, j),)), None, (i, j), j == nv - 1))
+        pools.append(pool)
     for natoms in range(bounds.max_atoms + 1):
-        for e in range(bounds.max_existentials + 1):
-            pool = atoms_pool[e]
-            for combo in itertools.combinations(range(len(pool)), natoms):
-                rel_atoms = []
-                eq_atoms = []
-                used_exist = set()
-                for idx in combo:
-                    atom, eq = pool[idx]
-                    if atom is not None:
-                        rel_atoms.append(atom)
-                        used_exist.update(v for v in atom[1] if v >= free)
-                    else:
-                        eq_atoms.append(eq)
-                        used_exist.update(v for v in eq if v >= free)
+        for e, pool in enumerate(pools):
+            block = d**e
+            full = (1 << d**(free + e)) - 1
+            block_full = (1 << block) - 1
+            for combo in itertools.combinations(pool, natoms):
                 # skip formulas that do not mention their innermost
                 # existential: an equivalent smaller-e candidate exists
-                if e > 0 and (free + e - 1) not in used_exist:
+                if e > 0 and not any(item[3] for item in combo):
                     continue
-                try:
-                    phi = PPFormula(free, e, tuple(rel_atoms), tuple(eq_atoms))
-                    sat = evaluate_pp(a, phi)
-                except ValueError:
+                mask = full
+                for item in combo:
+                    mask &= item[0]
+                if e > 0:
+                    projected = 0
+                    for f in range(d**free):
+                        if mask >> (f * block) & block_full:
+                            projected |= 1 << f
+                    mask = projected
+                if mask in seen:
                     continue
-                if sat in seen_sets:
-                    continue
-                seen_sets[sat] = phi
+                seen.add(mask)
+                phi = PPFormula(free, e,
+                                tuple(item[1] for item in combo if item[1] is not None),
+                                tuple(item[2] for item in combo if item[2] is not None))
+                sat = tuple(free_tuples[f]
+                            for f, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1")
                 ordered.append((natoms, phi, sat))
     return ordered
 
@@ -496,7 +526,7 @@ def bounded_pp_search(a: RelStructure, b: RelStructure, bounds: PPSearchBounds,
                 raise CapacityError(f"pp-power domain {dom} exceeds cap {DEFAULT_POWER_CAP}")
             if dom < least:
                 continue
-            candidates = _encoded_candidates(a, b, dim, bounds)
+            candidates = _encoded_candidates(a, b, dim, bounds, next_budget)
             if candidates is None:
                 continue
 
@@ -525,14 +555,17 @@ def bounded_pp_search(a: RelStructure, b: RelStructure, bounds: PPSearchBounds,
 
 
 def _encoded_candidates(a: RelStructure, b: RelStructure, dim: int,
-                        bounds: PPSearchBounds):
+                        bounds: PPSearchBounds, check_time):
     """Per relation of b, its candidates (atom count, formula, tuples of the
-    power) at dimension ``dim``; None when some relation has none."""
+    power) at dimension ``dim``; None when some relation has none.
+    ``check_time()`` runs before each candidate list is built, so that it
+    can raise BudgetExceededError once the search is out of time."""
     coding = TupleCoding(a.size, dim)
     by_arity = {}  # relations of one arity share their candidate list
     candidates = []
     for name, arity in b.signature.rel_names:
         if arity not in by_arity:
+            check_time()
             by_arity[arity] = [
                 (natoms, phi, tuple(
                     tuple(coding.encode(t[j * dim:(j + 1) * dim]) for j in range(arity))

@@ -370,13 +370,31 @@ def test_bounded_search_budget_in_core_computation(monkeypatch, k3s, le_struct):
 
 
 def test_bounded_search_time_limit_covers_the_whole_search():
-    # each search alone is far shorter than 50 ms, but the whole search is
-    # not: the candidates alone take longer, so no pick search may start
+    # each search alone, and each candidate list, is far shorter than 50 ms,
+    # but the whole search is not: the deadline must stop the pick searches
     start = time.perf_counter()
     res = bounded_pp_search(hepp_A(), hepp_B(), PPSearchBounds(1, 0, 2),
                             SearchBudget(time_limit_ms=50))
     assert res.outcome is Outcome.BUDGET
     assert time.perf_counter() - start < 3.0
+
+
+def test_bounded_search_checks_the_time_limit_before_each_candidate_list(
+        monkeypatch, le_struct):
+    # the first list outlasts the limit, so the second is never built
+    calls = []
+    build = constructions._candidate_formulas
+
+    def slow(a, free, bounds):
+        calls.append(free)
+        time.sleep(0.06)
+        return build(a, free, bounds)
+
+    monkeypatch.setattr(constructions, "_candidate_formulas", slow)
+    res = bounded_pp_search(le_struct, le_struct, PPSearchBounds(1, 0, 1),
+                            SearchBudget(time_limit_ms=50))
+    assert res.outcome is Outcome.BUDGET
+    assert calls == [2]
 
 
 def test_bounded_search_node_limit_in_a_prefix_check_is_not_a_refutation():
@@ -394,13 +412,64 @@ def test_bounded_search_node_limit_in_a_prefix_check_is_not_a_refutation():
     assert res.outcome is Outcome.BUDGET
 
 
+def naive_candidates(a, free, bounds):
+    """Oracle: evaluate every combination of pool atoms on its own, in order
+    of (atom count, existential count, combination), and keep the first
+    formula of each satisfaction set."""
+    seen = set()
+    ordered = []
+    for natoms in range(bounds.max_atoms + 1):
+        for e in range(bounds.max_existentials + 1):
+            nv = free + e
+            pool = [((name, args), None) for name, k in a.signature.rel_names
+                    for args in itertools.product(range(nv), repeat=k)]
+            pool += [(None, eq) for eq in itertools.combinations(range(nv), 2)]
+            for combo in itertools.combinations(pool, natoms):
+                used = {v for atom, eq in combo for v in (atom[1] if atom else eq)}
+                # the innermost existential must be mentioned
+                if e > 0 and nv - 1 not in used:
+                    continue
+                phi = PPFormula(free, e, tuple(atom for atom, _ in combo if atom),
+                                tuple(eq for _, eq in combo if eq))
+                sat = evaluate_pp(a, phi)
+                if sat not in seen:
+                    seen.add(sat)
+                    ordered.append((natoms, phi, sat))
+    return ordered
+
+
+def test_candidate_formulas_match_per_combination_evaluation():
+    rng = random.Random(31)
+    for free, e, natoms in itertools.product((1, 2, 3), (0, 1, 2), (1, 2)):
+        bounds = PPSearchBounds(1, e, natoms)
+        for _ in range(3):
+            a = random_structure(rng, rng.choice((2, 3)), rng.choice((1, 2)), (1, 2, 3))
+            assert constructions._candidate_formulas(a, free, bounds) == \
+                naive_candidates(a, free, bounds)
+
+
+def test_candidate_formulas_evaluate_each_atom_once(monkeypatch):
+    # one call per pool atom: 4 ternary relations x 27 argument tuples,
+    # 4 unary x 3, and 3 equalities, not one per each of 7,627 combinations
+    calls = []
+    evaluate = constructions.evaluate_pp
+
+    def counted(a, phi):
+        calls.append(phi)
+        return evaluate(a, phi)
+
+    monkeypatch.setattr(constructions, "evaluate_pp", counted)
+    candidates = constructions._candidate_formulas(hepp_A(), 3, PPSearchBounds(1, 0, 2))
+    assert len(calls) == 4 * 27 + 4 * 3 + 3
+    assert len(candidates) == 118
+
+
 def unpruned_pp_search(a, b, bounds):
     """Oracle: every pick of every dimension in order of its total atom
     count, each power built by pp_power and run through hom_equivalent."""
     names = b.signature.rel_names
     for dim in range(1, bounds.max_dimension + 1):
-        lists = [[(natoms, phi) for natoms, phi, _ in
-                  constructions._candidate_formulas(a, k * dim, bounds)]
+        lists = [[(natoms, phi) for natoms, phi, _ in naive_candidates(a, k * dim, bounds)]
                  for _, k in names]
         for total in range(bounds.max_atoms * len(names) + 1):
             for picks in itertools.product(*lists):
