@@ -361,7 +361,8 @@ def h1_homomorphism_exists(a: RelStructure, b: RelStructure,
 
     Decided as: Pol(a) is b-colorable.  On success the induced image
     operations up to arity 3 are materialized and re-verified to be
-    polymorphisms of b.  Each arity of Pol(a) is enumerated once.
+    polymorphisms of b, each distinct table once.  Each arity of Pol(a) is
+    enumerated once.
     """
     polys = _polymorphisms_by_arity(a, budget)
     free = free_structure_over_polymorphisms(a, b, budget, polys)
@@ -371,7 +372,7 @@ def h1_homomorphism_exists(a: RelStructure, b: RelStructure,
     # clone_members_to_arity(a, ...), from the enumerations made above
     members = [op for n in range(1, 4) for op in polys[n]]
     induced = tuple(induced_operations(free, res.coloring, members))
-    for op in induced:
+    for op in set(induced):
         if not is_polymorphism(op, b):
             raise CrossCheckError("induced operation is not a polymorphism")
     return H1Result(Outcome.FOUND, free, res.coloring, induced, res.nodes)

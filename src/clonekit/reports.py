@@ -270,8 +270,8 @@ def _verify_coloring_style(command, report, inputs, verdict, certs, problems,
         if verdict == "exists":
             check_coloring(certs)
             b = structure_from_dict(inputs["target"])
-            for o in certs.get("induced", []):
-                _check(problems, is_polymorphism(operation_from_dict(o), b),
+            for op in {operation_from_dict(o) for o in certs.get("induced", [])}:
+                _check(problems, is_polymorphism(op, b),
                        "induced operation is not a polymorphism of the target")
     elif command == "maltsev":
         if "coloring" in certs:

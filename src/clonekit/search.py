@@ -11,10 +11,14 @@ to all of them.  Binary constraints are revised bitwise (Lecoutre and Vion,
 indexed by a domain mask in 8-bit chunks, gives the supports of the up to 8
 values of one chunk at once.  A revision reads only the chunks that hold
 domain values, and each table entry is computed the first time it is read.
-Wider scopes are revised by scanning their allowed tuples.  Search is
-depth-first with propagation at every node, ascending value order, and
-either smallest-domain-first or static index variable order (the latter
-makes solution enumeration lexicographic).
+A variable's binary constraints are grouped by the support list that maps
+its values to the other end, so when its domain changes one support mask
+per group narrows every far end of the group.  Wider scopes are revised by
+scanning their allowed tuples, each only once the binary constraints have
+reached their fixpoint.  Search is depth-first with propagation at every
+node, ascending value order, and either smallest-domain-first or static
+index variable order (the latter makes solution enumeration
+lexicographic).
 """
 
 from __future__ import annotations
@@ -68,12 +72,20 @@ class Csp:
     Constraints are added via :meth:`add_constraint`, one call per
     relation: the variable scopes it applies to and its allowed value
     tuples.  Repeated variables in a scope are collapsed by restricting the
-    allowed tuples to the matching diagonal.  Two constraints on the same
+    allowed tuples to the matching diagonal, and a scope whose collapsed
+    relation allows every tuple is dropped.  Two constraints on the same
     variable pair act as one, on the intersection of their relations.
     Binary constraints keep two support lists (the supports of each value
-    of one end on the other); the first propagation sets up an empty union
-    table for each distinct final list, and revisions fill in the entries
-    they read.
+    of one end on the other).  The first propagation groups each
+    variable's binary constraints by the support list that maps its values
+    to the other end, with one empty union table per distinct list.  When a
+    variable's domain changes, each of its groups computes one support mask
+    and ANDs it into every far end of the group; its own end is revised
+    from the far side when that end changes.  Wider constraints wait in a
+    pending set and are revised one at a time, each only once the binary
+    constraints have reached their fixpoint, an order in the spirit of
+    Wallace and Freuder (*Ordering heuristics for arc consistency
+    algorithms*, 1992).  The fixpoint is the same GAC fixpoint in any order.
     """
 
     def __init__(self, nvars: int, domain_size: int):
@@ -82,15 +94,12 @@ class Csp:
         self.nvars = nvars
         self.domain_size = domain_size
         self.dom = [(1 << domain_size) - 1] * nvars
-        # binary constraints: two support lists per unordered var pair
-        self._bin_pairs: dict[tuple[int, int], int] = {}
-        self._bin_ends: list[tuple[int, int]] = []
-        self._bin_sup: list[tuple[list[int], list[int]]] = []
-        # union tables of _bin_sup, set up by the first propagation
-        self._bin_tab: list[tuple[list[list], list[list]]] | None = None
-        self._var_bins: list[list[int]] = [[] for _ in range(nvars)]
+        # binary constraints: two support lists per ordered var pair x < y
+        self._bin: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        # per variable, its binary groups, set up by the first propagation
+        self._groups: list[list[tuple[list[list], list[int], list[int]]]] | None = None
         # wider constraints
-        self._nary: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
+        self._nary: list[tuple[Sequence[int], tuple[tuple[int, ...], ...]]] = []
         self._var_narys: list[list[int]] = [[] for _ in range(nvars)]
         self._failed = False
         self.nodes_explored = 0
@@ -108,7 +117,7 @@ class Csp:
 
     def add_constraint(self, scopes: Iterable[Sequence[int]],
                        allowed: Sequence[Sequence[int]],
-                       compiled: dict[tuple[int, ...], tuple] | None = None):
+                       compiled: dict[tuple[int, ...], tuple | None] | None = None):
         """Require every scope in ``scopes`` to take a tuple of ``allowed``.
 
         ``allowed`` is one relation, duplicate-free.  It is compiled once per
@@ -120,12 +129,21 @@ class Csp:
         """
         if compiled is None:
             compiled = {}
+        plain = ()
         for scope in scopes:
-            pattern = tuple(map(scope.index, scope))
+            if len(set(scope)) == len(scope):
+                # no repeated variable: pattern 0..k-1, every variable kept
+                if len(plain) != len(scope):
+                    plain = tuple(range(len(scope)))
+                pattern, kept = plain, scope
+            else:
+                pattern = tuple(map(scope.index, scope))
+                kept = tuple(dict.fromkeys(scope))
             if pattern not in compiled:
                 compiled[pattern] = self._compile(pattern, allowed)
             form = compiled[pattern]
-            kept = tuple(dict.fromkeys(scope))
+            if form is None:
+                continue
             if len(kept) == 1:
                 self.restrict(kept[0], (t[0] for t in form))
             elif len(kept) == 2:
@@ -136,161 +154,140 @@ class Csp:
                 for v in kept:
                     self._var_narys[v].append(idx)
 
-    def _compile(self, pattern: tuple[int, ...], allowed) -> tuple:
+    def _compile(self, pattern: tuple[int, ...], allowed) -> tuple | None:
         """The tuples of ``allowed`` on the diagonal that ``pattern`` selects
         (position i repeats position ``pattern[i]``), cut to the first
         position of each variable: two value-indexed support lists when two
-        variables are left, the sorted tuples otherwise."""
+        variables are left, the sorted tuples otherwise.  None when they are
+        every tuple, since such a constraint never narrows a domain."""
         kept = [i for i, p in enumerate(pattern) if p == i]
         if len(kept) < len(pattern):
             diagonal = itemgetter(*pattern)
             allowed = [tuple(t[i] for i in kept) for t in allowed
                        if diagonal(t) == tuple(t)]
+        d = self.domain_size
         if len(kept) != 2:
-            return tuple(sorted(map(tuple, allowed)))
-        sup_xy = [0] * self.domain_size
-        sup_yx = [0] * self.domain_size
+            form = tuple(sorted(set(map(tuple, allowed))))
+            return None if len(form) == d ** len(kept) else form
+        sup_xy = [0] * d
+        sup_yx = [0] * d
         for a, b in allowed:
             sup_xy[a] |= 1 << b
             sup_yx[b] |= 1 << a
-        return sup_xy, sup_yx
+        full = (1 << d) - 1
+        return None if sup_xy.count(full) == d else (sup_xy, sup_yx)
 
     def _add_binary(self, x: int, y: int, sup_xy: list[int], sup_yx: list[int]):
         """Attach support lists to the pair (x, y).  The lists may be shared
         with other pairs and other CSPs, so a second constraint on one pair
         replaces them with their intersection instead of narrowing them in
-        place.  Union tables stand for the final lists, so adding a
-        constraint drops any set up earlier."""
-        self._bin_tab = None
+        place.  Groups and union tables stand for the final lists, so adding
+        a constraint drops any set up earlier."""
+        self._groups = None
         if x > y:
             x, y, sup_xy, sup_yx = y, x, sup_yx, sup_xy
-        pair = (x, y)
-        idx = self._bin_pairs.get(pair)
-        if idx is not None:
-            old_xy, old_yx = self._bin_sup[idx]
-            self._bin_sup[idx] = (list(map(and_, old_xy, sup_xy)),
-                                  list(map(and_, old_yx, sup_yx)))
-            return
-        idx = len(self._bin_sup)
-        self._bin_pairs[pair] = idx
-        self._bin_ends.append(pair)
-        self._bin_sup.append((sup_xy, sup_yx))
-        self._var_bins[x].append(idx)
-        self._var_bins[y].append(idx)
+        old = self._bin.get((x, y))
+        if old is not None:
+            sup_xy = list(map(and_, old[0], sup_xy))
+            sup_yx = list(map(and_, old[1], sup_yx))
+        self._bin[x, y] = (sup_xy, sup_yx)
 
     # -- propagation ---------------------------------------------------------
 
-    def _union_tables(self) -> list[tuple[list[list], list[list]]]:
-        """For each binary constraint, the union tables of its two support
-        lists.  The table of ``sup`` is cut into chunks of 8 values: entry m
-        of chunk c is the union of ``sup[8c + i]`` over the bits i of m, so
-        the supports of a domain mask are the union of one entry per chunk.
-        Entries start as None and are filled by the first revision that
-        reads them.  Equal support lists share one table."""
-        memo: dict[tuple[int, ...], list[list]] = {}
-
-        def table(sup: list[int]) -> list[list]:
-            key = tuple(sup)
-            tab = memo.get(key)
-            if tab is None:
-                tab = memo[key] = [[None] * (1 << min(8, len(sup) - c))
-                                   for c in range(0, len(sup), 8)]
-            return tab
-
-        return [(table(sup_xy), table(sup_yx)) for sup_xy, sup_yx in self._bin_sup]
+    def _group_binaries(self) -> list[list[tuple[list[list], list[int], list[int]]]]:
+        """For each variable, its binary constraints grouped by the support
+        list that maps its values to the other end, as (union table, support
+        list, other ends) triples.  The union table of ``sup`` is cut into
+        chunks of 8 values: entry m of chunk c is the union of ``sup[8c + i]``
+        over the bits i of m, so the supports of a domain mask are the union
+        of one entry per chunk.  Entries start as None and are filled by the
+        first revision that reads them.  Groups and tables are keyed by the
+        value of the list, so equal lists share them, also lists made by
+        intersecting two constraints on one pair."""
+        tables: dict[tuple[int, ...], list[list]] = {}
+        groups: list[dict] = [{} for _ in range(self.nvars)]
+        for (x, y), (sup_xy, sup_yx) in self._bin.items():
+            for v, w, sup in ((x, y, sup_xy), (y, x, sup_yx)):
+                key = tuple(sup)
+                group = groups[v].get(key)
+                if group is None:
+                    tab = tables.get(key)
+                    if tab is None:
+                        tab = tables[key] = [[None] * (1 << min(8, len(sup) - c))
+                                             for c in range(0, len(sup), 8)]
+                    group = groups[v][key] = (tab, sup, [])
+                group[2].append(w)
+        return [list(g.values()) for g in groups]
 
     def _propagate(self, dom: list[int], dirty_vars) -> bool:
         """Enforce GAC starting from the given dirty variables; False on wipeout."""
-        ends = self._bin_ends
-        sups = self._bin_sup
-        tabs = self._bin_tab
-        if tabs is None:
-            tabs = self._bin_tab = self._union_tables()
+        groups = self._groups
+        if groups is None:
+            groups = self._groups = self._group_binaries()
         nary = self._nary
+        var_narys = self._var_narys
         queue = deque(dirty_vars)
         queued = set(queue)
-        while queue:
-            var = queue.popleft()
-            queued.discard(var)
-            for bi in self._var_bins[var]:
-                x, y = ends[bi]
-                tab_xy, tab_yx = tabs[bi]
-                dx = dom[x]
-                m = 0
-                # the nonzero chunks of the domain, highest first
-                while dx > 255:
-                    shift = (dx.bit_length() - 1) & -8
-                    bits = dx >> shift
-                    chunk = tab_xy[shift >> 3]
-                    part = chunk[bits]
-                    if part is None:
-                        part = chunk[bits] = _chunk_union(sups[bi][0], shift, bits)
-                    m |= part
-                    dx ^= bits << shift
-                if dx:
-                    chunk = tab_xy[0]
-                    part = chunk[dx]
-                    if part is None:
-                        part = chunk[dx] = _chunk_union(sups[bi][0], 0, dx)
-                    m |= part
-                new_y = dom[y] & m
-                if new_y != dom[y]:
-                    if not new_y:
-                        return False
-                    dom[y] = new_y
-                    if y not in queued:
-                        queue.append(y)
-                        queued.add(y)
-                dy = dom[y]
-                m = 0
-                while dy > 255:
-                    shift = (dy.bit_length() - 1) & -8
-                    bits = dy >> shift
-                    chunk = tab_yx[shift >> 3]
-                    part = chunk[bits]
-                    if part is None:
-                        part = chunk[bits] = _chunk_union(sups[bi][1], shift, bits)
-                    m |= part
-                    dy ^= bits << shift
-                if dy:
-                    chunk = tab_yx[0]
-                    part = chunk[dy]
-                    if part is None:
-                        part = chunk[dy] = _chunk_union(sups[bi][1], 0, dy)
-                    m |= part
-                new_x = dom[x] & m
-                if new_x != dom[x]:
-                    if not new_x:
-                        return False
-                    dom[x] = new_x
-                    if x not in queued:
-                        queue.append(x)
-                        queued.add(x)
-            for ni in self._var_narys[var]:
-                scope, allowed = nary[ni]
-                k = len(scope)
-                masks = [0] * k
-                doms = [dom[v] for v in scope]
-                for t in allowed:
-                    ok = True
-                    for i in range(k):
-                        if not doms[i] >> t[i] & 1:
-                            ok = False
-                            break
-                    if ok:
-                        for i in range(k):
-                            masks[i] |= 1 << t[i]
+        pending: set[int] = set()
+        while True:
+            while queue:
+                var = queue.popleft()
+                queued.discard(var)
+                for tab, sup, others in groups[var]:
+                    dv = dom[var]
+                    m = 0
+                    # the nonzero chunks of the domain, highest first
+                    while dv > 255:
+                        shift = (dv.bit_length() - 1) & -8
+                        bits = dv >> shift
+                        chunk = tab[shift >> 3]
+                        part = chunk[bits]
+                        if part is None:
+                            part = chunk[bits] = _chunk_union(sup, shift, bits)
+                        m |= part
+                        dv ^= bits << shift
+                    if dv:
+                        chunk = tab[0]
+                        part = chunk[dv]
+                        if part is None:
+                            part = chunk[dv] = _chunk_union(sup, 0, dv)
+                        m |= part
+                    for y in others:
+                        old = dom[y]
+                        new = old & m
+                        if new != old:
+                            if not new:
+                                return False
+                            dom[y] = new
+                            if y not in queued:
+                                queue.append(y)
+                                queued.add(y)
+                pending.update(var_narys[var])
+            if not pending:
+                return True
+            scope, allowed = nary[pending.pop()]
+            k = len(scope)
+            masks = [0] * k
+            doms = [dom[v] for v in scope]
+            for t in allowed:
+                ok = True
                 for i in range(k):
-                    v = scope[i]
-                    new = dom[v] & masks[i]
-                    if new != dom[v]:
-                        if not new:
-                            return False
-                        dom[v] = new
-                        if v not in queued:
-                            queue.append(v)
-                            queued.add(v)
-        return True
+                    if not doms[i] >> t[i] & 1:
+                        ok = False
+                        break
+                if ok:
+                    for i in range(k):
+                        masks[i] |= 1 << t[i]
+            for i in range(k):
+                v = scope[i]
+                new = dom[v] & masks[i]
+                if new != dom[v]:
+                    if not new:
+                        return False
+                    dom[v] = new
+                    if v not in queued:
+                        queue.append(v)
+                        queued.add(v)
 
     # -- search ----------------------------------------------------------------
 

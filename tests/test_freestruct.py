@@ -4,6 +4,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 import clonekit
 import clonekit.freestruct
 from clonekit import (
@@ -430,3 +432,12 @@ def test_h1_enumerates_each_polymorphism_arity_once(monkeypatch, k3s):
     assert res.induced == tuple(induced_operations(
         res.free, res.coloring, clone_members_to_arity(k3s, 3)))
 
+
+def test_h1_rejects_a_repeated_bad_induced_operation(monkeypatch, k3s):
+    # each distinct induced table is checked once; a bad table that appears
+    # twice must still raise
+    constant = OperationTable(3, 1, (0, 0, 0))
+    monkeypatch.setattr(clonekit.freestruct, "induced_operations",
+                        lambda *args: [constant, constant])
+    with pytest.raises(clonekit.CrossCheckError):
+        h1_homomorphism_exists(k3s, k3s)

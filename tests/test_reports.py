@@ -120,3 +120,16 @@ def test_verify_rejects_input_swap(tmp_path):
 def test_verify_rejects_malformed_report():
     assert verify_report({"command": "hom"}) != []
     assert verify_report({}) != []
+
+
+def test_verify_rejects_a_repeated_bad_induced_operation(tmp_path):
+    # each distinct induced table is checked once; a bad table that appears
+    # twice must still be reported
+    runner, files = _setup(tmp_path)
+    report = _report_for(runner, tmp_path,
+                         ["h1", files["k3s"], "--target", files["k3s"]], "h1")
+    assert report["verdict"] == "exists" and verify_report(report) == []
+    bad = copy.deepcopy(report)
+    constant = {"domain_size": 3, "arity": 1, "table": [0, 0, 0]}
+    bad["certificates"]["induced"][:2] = [constant, dict(constant)]
+    assert "induced operation is not a polymorphism of the target" in verify_report(bad)

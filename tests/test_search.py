@@ -41,15 +41,16 @@ def brute_force(nvars: int, d: int, calls) -> list[tuple[int, ...]]:
             if all(tuple(x[v] for v in scope) in allowed for scope, allowed in cons)]
 
 
-def naive_gac(nvars: int, d: int, calls) -> list[set[int]]:
-    """GAC fixpoint over the raw scopes.  Constraints whose scopes hold the
-    same two variables act as one constraint, as in the kernel."""
+def naive_gac(nvars: int, d: int, calls, doms=None) -> list[set[int]]:
+    """GAC fixpoint over the raw scopes, from full domains or from ``doms``.
+    Constraints whose scopes hold the same two variables act as one
+    constraint, as in the kernel."""
     groups: dict = {}
     for i, (scope, allowed) in enumerate(raw_constraints(calls)):
         vs = tuple(sorted(set(scope)))
         key = vs if len(vs) == 2 else i
         groups.setdefault(key, (vs, []))[1].append((scope, allowed))
-    doms = [set(range(d)) for _ in range(nvars)]
+    doms = [set(s) for s in doms] if doms else [set(range(d)) for _ in range(nvars)]
     changed = True
     while changed:
         changed = False
@@ -66,6 +67,31 @@ def naive_gac(nvars: int, d: int, calls) -> list[set[int]]:
                     doms[v] = support[v]
                     changed = True
     return doms
+
+
+def reference_nodes(nvars: int, d: int, calls, order: str) -> int:
+    """The nodes of a depth-first search that enumerates every solution and
+    propagates with naive_gac, branching as the kernel does: ascending values
+    of the first unfixed variable ('index') or of the first one with the
+    smallest domain ('mindom').  The root is not a node."""
+    nodes = 0
+
+    def visit(doms):
+        nonlocal nodes
+        unfixed = [v for v in range(nvars) if len(doms[v]) > 1]
+        if not unfixed:
+            return
+        var = unfixed[0] if order == "index" else min(unfixed, key=lambda v: len(doms[v]))
+        for value in sorted(doms[var]):
+            nodes += 1
+            child = naive_gac(nvars, d, calls, doms[:var] + [{value}] + doms[var + 1:])
+            if all(child):
+                visit(child)
+
+    root = naive_gac(nvars, d, calls)
+    if all(root):
+        visit(root)
+    return nodes
 
 
 def root_fixpoint(csp: Csp) -> list[int] | None:
@@ -150,3 +176,70 @@ def test_relation_shared_by_two_pairs_keeps_each_pair_apart():
     csp.add_constraint([(0, 1), (3, 2)], [(0, 1), (1, 0)])
     csp.add_constraint([(0, 1)], [(0, 0), (0, 1), (1, 1)])
     assert list(csp.solutions(order="index")) == [(0, 1, 0, 1), (0, 1, 1, 0)]
+
+
+def grouped_calls(rng: random.Random, nvars: int, d: int):
+    """Binary and ternary relations, each on several scopes that share one
+    variable at one position, so a variable's support lists to several far
+    ends are equal and its group holds them all."""
+    calls = []
+    for _ in range(rng.randint(2, 5)):
+        k = rng.choice((2, 2, 3))
+        universe = list(itertools.product(range(d), repeat=k))
+        allowed = rng.sample(universe, rng.randint(len(universe) // 3, len(universe) - 1))
+        hub, at = rng.randrange(nvars), rng.randrange(k)
+        rest = [v for v in range(nvars) if v != hub]
+        scopes = []
+        for _ in range(rng.randint(2, 4)):
+            others = rng.sample(rest, k - 1)
+            scopes.append(tuple(others[:at] + [hub] + others[at:]))
+        calls.append((scopes, allowed))
+    return calls
+
+
+def test_node_counts_match_a_search_with_naive_gac():
+    rng = random.Random(1011)
+    seen = {"group of several far ends": 0, "pair shared by two relations": 0,
+            "ternary": 0, "narrowed past one chunk": 0, "nodes": 0}
+    for case in range(100):
+        nvars, d = (rng.randint(3, 5), rng.randint(2, 4)) if case % 5 else (3, 9)
+        calls = grouped_calls(rng, nvars, d)
+        csp = build(nvars, d, calls)
+        naive = naive_gac(nvars, d, calls)
+        fix = root_fixpoint(csp)
+        assert fix == (None if not all(naive) else [sum(1 << v for v in s) for s in naive]), case
+        for order in ("index", "mindom"):
+            csp = build(nvars, d, calls)
+            got = list(csp.solutions(order=order))
+            assert sorted(got) == brute_force(nvars, d, calls), (case, order)
+            assert csp.nodes_explored == reference_nodes(nvars, d, calls, order), (case, order)
+        seen["nodes"] += csp.nodes_explored
+        seen["group of several far ends"] += any(
+            len(far) > 1 for groups in csp._groups for _, _, far in groups)
+        pairs = [frozenset(s) for scopes, _ in calls for s in scopes if len(s) == 2]
+        seen["pair shared by two relations"] += len(pairs) > len(set(pairs))
+        seen["ternary"] += bool(csp._nary)
+        seen["narrowed past one chunk"] += d > 8 and fix is not None and any(
+            m >> 8 and m != (1 << d) - 1 for m in fix)
+    assert all(n >= 5 for n in seen.values()), seen
+
+
+def test_universal_relations_change_nothing():
+    # every tuple of a universal relation is allowed, so the kernel drops it;
+    # on plain and repeated scopes it must leave the search as it was
+    rng = random.Random(4242)
+    for case in range(60):
+        nvars, d = (rng.randint(2, 5), rng.choice((2, 3))) if case % 4 else (rng.randint(2, 3), 9)
+        calls = random_calls(rng, nvars, d)
+        universal = []
+        for k in (1, 2, 3):
+            scopes = [tuple(rng.randrange(nvars) for _ in range(k)) for _ in range(3)]
+            universal.append((scopes, list(itertools.product(range(d), repeat=k))))
+        mixed = calls[:1] + universal + calls[1:]
+        plain, with_universal = build(nvars, d, calls), build(nvars, d, mixed)
+        assert with_universal._bin == plain._bin and with_universal._nary == plain._nary
+        assert root_fixpoint(with_universal) == root_fixpoint(plain), case
+        for order in ("index", "mindom"):
+            plain, with_universal = build(nvars, d, calls), build(nvars, d, mixed)
+            assert list(with_universal.solutions(order=order)) == list(plain.solutions(order=order))
+            assert with_universal.nodes_explored == plain.nodes_explored, (case, order)
