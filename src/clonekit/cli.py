@@ -120,9 +120,9 @@ def _common_options() -> list[click.Option]:
         click.Option(["--json", "json_path"], type=click.Path(), default=None,
                      help="Also write the canonical JSON report to this path."),
         click.Option(["--budget-nodes"], type=int, default=None,
-                     help="Search node limit."),
+                     help="Node limit of each search."),
         click.Option(["--budget-ms"], type=float, default=None,
-                     help="Search time limit in milliseconds."),
+                     help="Time limit of the whole decision, in milliseconds."),
         click.Option(["--parallel"], type=int, default=None,
                      help="Accepted for compatibility and echoed in the report;"
                           " search is sequential."),

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import re
-import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -488,25 +487,14 @@ def bounded_pp_search(a: RelStructure, b: RelStructure, bounds: PPSearchBounds,
     are those of the unpruned enumeration.
 
     The budget covers the whole search: ``node_limit`` counts the nodes of
-    every prefix and pick search together, and ``time_limit_ms`` runs from
-    the call.  A REFUTED outcome means "no spec within these bounds", never
-    a proof that b cannot be pp-constructed from a.  Reaching a dimension
-    whose power exceeds ``DEFAULT_POWER_CAP`` elements raises CapacityError.
+    every prefix and pick search together, and every search and candidate
+    list reads the budget's one deadline.  A REFUTED outcome means "no spec
+    within these bounds", never a proof that b cannot be pp-constructed
+    from a.  Reaching a dimension whose power exceeds ``DEFAULT_POWER_CAP``
+    elements raises CapacityError.
     """
     budget = budget or SearchBudget()
-    deadline = None
-    if budget.time_limit_ms is not None:
-        deadline = time.monotonic() + budget.time_limit_ms / 1000.0
     nodes_used = 0
-
-    def next_budget() -> SearchBudget:
-        """The budget of the next search: the time left until the deadline."""
-        if deadline is None:
-            return budget
-        left = deadline - time.monotonic()
-        if left <= 0:
-            raise BudgetExceededError("time limit exceeded")
-        return SearchBudget(budget.node_limit, left * 1000.0)
 
     def spend(nodes: int, outcome: Outcome):
         nonlocal nodes_used
@@ -519,19 +507,19 @@ def bounded_pp_search(a: RelStructure, b: RelStructure, bounds: PPSearchBounds,
     try:
         # a structure homomorphically equivalent to b has at least |core(b)|
         # elements, and every power of a has that many when |a| >= |b|
-        least = core_of(b, next_budget()).core.size if a.size < b.size else 1
+        least = core_of(b, budget).core.size if a.size < b.size else 1
         for dim in range(1, bounds.max_dimension + 1):
             dom = a.size**dim
             if dom > DEFAULT_POWER_CAP:
                 raise CapacityError(f"pp-power domain {dom} exceeds cap {DEFAULT_POWER_CAP}")
             if dom < least:
                 continue
-            candidates = _encoded_candidates(a, b, dim, bounds, next_budget)
+            candidates = _encoded_candidates(a, b, dim, bounds, budget)
             if candidates is None:
                 continue
 
             def viable(prefix) -> bool:
-                partial = find_homomorphism(_pick_power(dom, b, prefix), b, next_budget())
+                partial = find_homomorphism(_pick_power(dom, b, prefix), b, budget)
                 spend(partial.nodes, partial.outcome)
                 return partial.found
 
@@ -541,7 +529,7 @@ def bounded_pp_search(a: RelStructure, b: RelStructure, bounds: PPSearchBounds,
             for total in range(max_total + 1):
                 for picks in _picks_with_total(candidates, total, viable, memo):
                     power = _pick_power(dom, b, picks)
-                    eq = hom_equivalent(power, b, next_budget())
+                    eq = hom_equivalent(power, b, budget)
                     spend(eq.nodes, eq.outcome)
                     if eq.found:
                         spec = PPPowerSpec(dim, tuple(
@@ -555,17 +543,16 @@ def bounded_pp_search(a: RelStructure, b: RelStructure, bounds: PPSearchBounds,
 
 
 def _encoded_candidates(a: RelStructure, b: RelStructure, dim: int,
-                        bounds: PPSearchBounds, check_time):
+                        bounds: PPSearchBounds, budget: SearchBudget):
     """Per relation of b, its candidates (atom count, formula, tuples of the
-    power) at dimension ``dim``; None when some relation has none.
-    ``check_time()`` runs before each candidate list is built, so that it
-    can raise BudgetExceededError once the search is out of time."""
+    power) at dimension ``dim``; None when some relation has none.  The
+    budget's deadline is checked before each candidate list is built."""
     coding = TupleCoding(a.size, dim)
     by_arity = {}  # relations of one arity share their candidate list
     candidates = []
     for name, arity in b.signature.rel_names:
         if arity not in by_arity:
-            check_time()
+            budget.check()
             by_arity[arity] = [
                 (natoms, phi, tuple(
                     tuple(coding.encode(t[j * dim:(j + 1) * dim]) for j in range(arity))

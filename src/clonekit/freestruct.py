@@ -41,6 +41,8 @@ from .homs import find_homomorphism
 from .search import BudgetExceededError, CrossCheckError, Outcome, SearchBudget
 from .structures import CapacityError, RelStructure, column_cells, shifted_codes
 
+_CLOCK_EVERY = 4096  # loop iterations between two reads of the budget's deadline
+
 # Cayley tables and numpy code marks of at most this many cells are built
 # densely; larger Cayley tables fill lazily and their closures stay in Python
 _DENSE_CELLS = DEFAULT_TABLE_CAP
@@ -273,7 +275,9 @@ def free_structure_over_polymorphisms(a: RelStructure, b: RelStructure,
         minors = [column_cells(d, [projs[row[j]] for row in rows], d**nb)
                   for j in range(k)]
         out = set()
-        for f in polys[m]:
+        for i, f in enumerate(polys[m]):
+            if budget and i % _CLOCK_EVERY == 0:
+                budget.check()
             look = f.table.__getitem__
             out.add(tuple(index[tuple(map(look, cells))] for cells in minors))
         lifted[name] = tuple(sorted(out))
@@ -317,8 +321,8 @@ def clone_members_to_arity(gen_or_structure, max_arity: int,
     return out
 
 
-def induced_operations(free: FreeStructure, coloring: Coloring,
-                       members: list[OperationTable]) -> list[OperationTable]:
+def induced_operations(free: FreeStructure, coloring: Coloring, members: list[OperationTable],
+                       budget: SearchBudget | None = None) -> list[OperationTable]:
     """The operations on B induced by a coloring: f'(b1..bn) = c(f(pi_b1..pi_bn)).
 
     This is the constructive content of the coloring-to-h1-homomorphism
@@ -332,7 +336,9 @@ def induced_operations(free: FreeStructure, coloring: Coloring,
     minors = _Memo(lambda n: [column_cells(d, [projs[v] for v in bs], d**nb)
                               for bs in itertools.product(range(nb), repeat=n)])
     out = []
-    for f in members:
+    for i, f in enumerate(members):
+        if budget and i % _CLOCK_EVERY == 0:
+            budget.check()
         if f.arity == 0:
             continue  # constants enter the carrier as constant tables
         look = f.table.__getitem__
@@ -362,19 +368,25 @@ def h1_homomorphism_exists(a: RelStructure, b: RelStructure,
     Decided as: Pol(a) is b-colorable.  On success the induced image
     operations up to arity 3 are materialized and re-verified to be
     polymorphisms of b, each distinct table once.  Each arity of Pol(a) is
-    enumerated once.
+    enumerated once.  The budget's deadline bounds the whole decision, and
+    a budget that runs out anywhere in it returns BUDGET.
     """
     polys = _polymorphisms_by_arity(a, budget)
-    free = free_structure_over_polymorphisms(a, b, budget, polys)
-    res = find_coloring(free, strong=False, budget=budget)
-    if res.outcome is not Outcome.FOUND:
-        return H1Result(res.outcome, free, nodes=res.nodes)
-    # clone_members_to_arity(a, ...), from the enumerations made above
-    members = [op for n in range(1, 4) for op in polys[n]]
-    induced = tuple(induced_operations(free, res.coloring, members))
-    for op in set(induced):
-        if not is_polymorphism(op, b):
-            raise CrossCheckError("induced operation is not a polymorphism")
+    try:
+        free = free_structure_over_polymorphisms(a, b, budget, polys)
+        res = find_coloring(free, strong=False, budget=budget)
+        if res.outcome is not Outcome.FOUND:
+            return H1Result(res.outcome, free, nodes=res.nodes)
+        # clone_members_to_arity(a, ...), from the enumerations made above
+        members = [op for n in range(1, 4) for op in polys[n]]
+        induced = tuple(induced_operations(free, res.coloring, members, budget))
+        for i, op in enumerate(set(induced)):
+            if budget and i % _CLOCK_EVERY == 0:
+                budget.check()
+            if not is_polymorphism(op, b):
+                raise CrossCheckError("induced operation is not a polymorphism")
+    except BudgetExceededError:
+        return H1Result(Outcome.BUDGET)
     return H1Result(Outcome.FOUND, free, res.coloring, induced, res.nodes)
 
 
@@ -434,11 +446,7 @@ def h1_to_projections(a: RelStructure,
     Disagreement between conclusive oracles raises CrossCheckError.
     """
     sig = has_siggers(a, budget)
-    t = _validated_projection_test()
-    try:
-        col = h1_homomorphism_exists(a, t, budget)
-    except BudgetExceededError:
-        col = H1Result(Outcome.BUDGET)
+    col = h1_homomorphism_exists(a, _validated_projection_test(), budget)
     if sig.outcome is Outcome.BUDGET or col.outcome is Outcome.BUDGET:
         return ProjectionHomResult(Outcome.BUDGET, sig, col)
     by_siggers = sig.outcome is Outcome.REFUTED

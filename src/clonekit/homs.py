@@ -45,9 +45,6 @@ class HomMap:
     def __getitem__(self, x: int) -> int:
         return self.map[x]
 
-    def is_injective(self) -> bool:
-        return len(set(self.map)) == self.source_size
-
 
 @dataclass(frozen=True)
 class HomResult:
@@ -117,7 +114,6 @@ def find_homomorphism(c: RelStructure, a: RelStructure,
     FOUND carries a verified witness; REFUTED means a completed exhaustive
     refutation; BUDGET means the limits ran out first.
     """
-    budget = budget or SearchBudget()
     csp = hom_csp(c, a, pins)
     outcome, sol = csp.solve(budget=budget)
     witness = None

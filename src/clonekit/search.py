@@ -23,9 +23,10 @@ lexicographic).
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import and_, itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -47,20 +48,30 @@ class CrossCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Resource limits for one search call.
+    """Resource limits for one decision.
 
-    Exhaustion is reported as Outcome.BUDGET, never conflated with a
-    completed refutation.
+    The time limit is one ``deadline``, fixed when the budget is created and
+    read through :meth:`check` by every search and long loop given the
+    budget; the node limit bounds each search on its own.  Exhaustion is
+    reported as Outcome.BUDGET, never conflated with a completed refutation.
     """
 
     node_limit: int | None = None
     time_limit_ms: float | None = None
+    deadline: float | None = field(init=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.node_limit is not None and self.node_limit < 1:
             raise ValueError("node_limit must be positive")
-        if self.time_limit_ms is not None and self.time_limit_ms <= 0:
-            raise ValueError("time_limit_ms must be positive")
+        if self.time_limit_ms is not None:
+            if not (math.isfinite(self.time_limit_ms) and self.time_limit_ms > 0):
+                raise ValueError("time_limit_ms must be positive and finite")
+            object.__setattr__(self, "deadline", time.monotonic() + self.time_limit_ms / 1000)
+
+    def check(self):
+        """Raise BudgetExceededError once the deadline has passed."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceededError("time limit exceeded")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -308,19 +319,18 @@ class Csp:
                   order: str = "mindom") -> Iterator[tuple[int, ...]]:
         """Yield all solutions; lexicographic when order='index'.
 
-        Raises BudgetExceededError when limits run out mid-enumeration.
+        Raises BudgetExceededError when the node limit runs out or the
+        deadline has passed, checked at the root and every 64 nodes.
         """
         budget = budget or DEFAULT_BUDGET
         self.nodes_explored = 0
         if self._failed:
             return
+        budget.check()
         dom = list(self.dom)
         if not self._propagate(dom, range(self.nvars)):
             return
         node_limit = budget.node_limit
-        deadline = None
-        if budget.time_limit_ms is not None:
-            deadline = time.monotonic() + budget.time_limit_ms / 1000.0
         nodes = 0
         static = order == "index"
         nvars = self.nvars
@@ -371,9 +381,8 @@ class Csp:
                 self.nodes_explored = nodes
                 raise BudgetExceededError("node limit exceeded")
             if nodes % 64 == 0:
-                if deadline is not None and time.monotonic() > deadline:
-                    self.nodes_explored = nodes
-                    raise BudgetExceededError("time limit exceeded")
+                self.nodes_explored = nodes
+                budget.check()
             child = list(base)
             child[var] = low
             if self._propagate(child, (var,)):

@@ -264,9 +264,13 @@ def test_reports_identical_across_processes(files, tmp_path):
 @pytest.mark.parametrize("flags, config", [
     (["--budget-nodes", "0"], None),
     (["--budget-ms", "-5"], None),
+    (["--budget-ms", "nan"], None),
+    (["--budget-ms", "inf"], None),
     (["--parallel", "-1"], None),
     ([], "budget-nodes = 0\n"),
-], ids=["budget-nodes", "budget-ms", "parallel", "config"])
+    ([], "budget-ms = nan\n"),
+], ids=["budget-nodes", "budget-ms", "budget-ms-nan", "budget-ms-inf", "parallel", "config",
+        "config-nan"])
 def test_bad_budget_is_a_parse_error(runner, files, tmp_path, flags, config):
     if config is not None:
         cfg = tmp_path / "cfg"
