@@ -418,7 +418,7 @@ def color(clone_file, target_path, strong, **common):
     b = _read_structure(target_path)
 
     def body(budget):
-        free = free_structure(gen, b)
+        free = free_structure(gen, b, budget)
         res = find_coloring(free, strong=strong, budget=budget)
         if res.found:
             certs = {"free": free_to_dict(free),
@@ -479,6 +479,9 @@ def maltsev(clone_file, which, n_value, **common):
 
         def chain_body(budget):
             res = find_hagemann_mitschke(gen, n_value, budget)
+            if res.outcome is Outcome.BUDGET:
+                return ("inconclusive", {}, 0, "inconclusive: budget exhausted",
+                        EXIT_INCONCLUSIVE)
             if res.found:
                 return ("found", {"chain": chain_to_dict(res.chain)}, 0,
                         f"chain found: {[list(op.table) for op in res.chain.ops]}",

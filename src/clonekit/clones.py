@@ -6,11 +6,17 @@ homomorphism search from the n-th power into the structure, built directly
 as a table-cell CSP.  Systems of height-1 identities are compiled to
 equalities between table cells before search, so identity search and
 relation preservation run through the same propagation kernel.
+
+One semi-naive kernel closes tuples under a clone's generators, each given
+by its Cayley table: it generates the clone (closing the projection
+tables) and the lifted relations of a free structure.  numpy serves its
+block step on two-element domains, imported there on first use.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from operator import add
@@ -27,6 +33,12 @@ from .structures import (
 
 # Table-cell capacity: domain_size ** arity must stay under this.
 DEFAULT_TABLE_CAP = 2**20
+
+# Cayley tables and numpy code marks of at most this many cells are built
+# densely; larger Cayley tables fill lazily and their closures stay in Python
+_DENSE_CELLS = DEFAULT_TABLE_CAP
+
+_CLOCK_EVERY = 4096  # loop iterations between two reads of the budget's deadline
 
 
 @dataclass(frozen=True)
@@ -186,43 +198,111 @@ def seminaive_pools(g: OperationTable, old: list, frontier: list, every: list) -
     return [[old] * p + [frontier] + [every] * (n - 1 - p) for p in range(n)]
 
 
-def generate_to_arity(gen: CloneGenSet, k: int) -> tuple[OperationTable, ...]:
-    """All k-ary members of the generated clone, sorted by table.
+# cells per gather of the numpy block step, and head combinations expanded
+# at once: temporaries of a few MB at most, however large the pools
+_BLOCK = 2**16
 
-    Fixpoint: seed with the k-ary projections, then in semi-naive rounds
-    compose each generator with the k-ary members produced so far, over
-    the combinations that hold a member new in the previous round.
-    ``DEFAULT_TABLE_CAP`` bounds both the table size and the number of
-    generated members; past either, CapacityError is raised.
+
+def _apply_numpy(rows, pools, f: int, k: int, out: set, budget: SearchBudget | None):
+    """Add to ``out`` T(t_1, ..., t_n) for every combination of tuples t_p
+    from ``pools[p]``, by gathers over outer products of base-f codes."""
+    import numpy as np
+
+    # int32 holds the codes, under f**k <= _DENSE_CELLS, and the table offsets
+    table = np.array(rows, dtype=np.int32).reshape(-1)
+    # pools by coordinate: row j holds the j-th entries of the pool's tuples
+    *heads, last = (np.array(p, dtype=np.int32).reshape(-1, k).T.copy() for p in pools)
+    mark = np.zeros(f**k, dtype=bool)
+    combos = math.prod(pool.shape[1] for pool in heads)
+    step = max(1, _BLOCK // max(1, last.shape[1]))  # head combinations per block
+    chunk = step * max(1, _BLOCK // step)  # head combinations expanded at once
+    for c in range(0, combos, chunk):
+        # head combinations c, c+1, ... read as mixed-radix digits, one per pool
+        combo = np.arange(c, min(c + chunk, combos))
+        head = np.zeros((k, combo.size), dtype=np.int32)
+        for pool in heads:
+            combo, i = np.divmod(combo, pool.shape[1])
+            head = head * f + pool[:, i]
+        head *= f  # offsets of the head combinations' rows in the flat table
+        for s in range(0, head.shape[1], step):
+            if budget:
+                budget.check()
+            code = table.take(np.add.outer(head[0, s:s + step], last[0]))
+            for j in range(1, k):
+                code *= f
+                code += table.take(np.add.outer(head[j, s:s + step], last[j]))
+            mark[code] = True
+    code = np.flatnonzero(mark)  # back to tuples: base-f digits, first most significant
+    out.update(zip(*[(code // f**p % f).tolist() for p in range(k - 1, -1, -1)]))
+
+
+def _apply_python(rows, pools, f: int, k: int, out: set, budget: SearchBudget | None):
+    """Add to ``out`` T(t_1, ..., t_n) for every combination of tuples t_p
+    from ``pools[p]``, a row lookup per last argument."""
+    *heads, last = pools
+    columns = list(zip(*last))
+    period = max(1, _CLOCK_EVERY // max(1, len(last)))  # about _CLOCK_EVERY results apart
+    for i, combo in enumerate(itertools.product(*heads), 1):
+        if budget and not i % period:
+            budget.check()
+        out.update(zip(*[map(rows[h].__getitem__, col)
+                         for h, col in zip(column_cells(f, combo, k), columns)]))
+
+
+def _closure_of_tuples(seeds, generators, cayleys, f: int, d: int,
+                       budget: SearchBudget | None = None) -> tuple[tuple[int, ...], ...]:
+    """The sorted closure of a set of k-tuples over {0..f-1} under the
+    componentwise action of the generators, given their Cayley tables:
+    ``cayleys[i][h][j]`` is generator i applied to the head arguments whose
+    base-f code is h, and to j last.
+
+    Rounds are semi-naive: each applies the generators only to combinations
+    that hold a tuple new in the previous round.  On a two-element domain
+    ``d``, with filled Cayley tables and f**k under ``_DENSE_CELLS``, each
+    block step runs in numpy, otherwise in Python.  The budget's deadline is
+    read each round and about every ``_CLOCK_EVERY`` results; past
+    ``DEFAULT_TABLE_CAP`` tuples, CapacityError is raised.
     """
+    seen = set(seeds)
+    if not seen:
+        return ()
+    k = len(next(iter(seen)))
+    vector = (d == 2 and f**k <= _DENSE_CELLS
+              and all(isinstance(rows, list) for rows in cayleys))
+    apply = _apply_numpy if vector else _apply_python
+    old, frontier = [], list(seen)
+    while frontier:
+        if budget:
+            budget.check()
+        if len(seen) > DEFAULT_TABLE_CAP:
+            raise CapacityError(f"closure exceeds the cap of {DEFAULT_TABLE_CAP} tuples")
+        every = old + frontier
+        found: set[tuple[int, ...]] = set()
+        for g, rows in zip(generators, cayleys):
+            for pools in seminaive_pools(g, old, frontier, every):
+                apply(rows, pools, f, k, found, budget)
+        found -= seen
+        seen |= found
+        old, frontier = every, list(found)
+    return tuple(sorted(seen))
+
+
+def generate_to_arity(gen: CloneGenSet, k: int,
+                      budget: SearchBudget | None = None) -> tuple[OperationTable, ...]:
+    """All k-ary members of the generated clone, sorted by table: the
+    closure of the k projection tables, where a generator's Cayley table is
+    its own table cut into rows of d cells.  ``DEFAULT_TABLE_CAP`` bounds
+    the table size and the member count, past either CapacityError is
+    raised; the budget is read as in ``_closure_of_tuples``."""
     d = gen.domain_size
     width = d**k
     if width > DEFAULT_TABLE_CAP:
         raise CapacityError(f"table with {width} cells exceeds cap {DEFAULT_TABLE_CAP}")
-    seen: dict[tuple[int, ...], OperationTable] = {}
-    for i in range(1, k + 1):
-        p = projection(d, k, i)
-        seen[p.table] = p
-    old: list[tuple[int, ...]] = []
-    frontier = list(seen)
-    while frontier:
-        if len(seen) > DEFAULT_TABLE_CAP:
-            raise CapacityError(
-                f"generated clone exceeds {DEFAULT_TABLE_CAP} members at arity {k}")
-        every = old + frontier
-        new: list[tuple[int, ...]] = []
-        for g in gen.acting():
-            look = g.table.__getitem__
-            for *heads, last in seminaive_pools(g, old, frontier, every):
-                for head in itertools.product(*heads):
-                    codes = shifted_codes(d, head, width)
-                    for arg in last:
-                        tab = tuple(map(look, map(add, codes, arg)))
-                        if tab not in seen:
-                            seen[tab] = OperationTable(d, k, tab)
-                            new.append(tab)
-        old, frontier = every, new
-    return tuple(sorted(seen.values(), key=OperationTable.sort_key))
+    acting = gen.acting()
+    cayleys = [[g.table[i:i + d] for i in range(0, len(g.table), d)] for g in acting]
+    seeds = [projection(d, k, i).table for i in range(1, k + 1)]
+    return tuple(OperationTable(d, k, t)
+                 for t in _closure_of_tuples(seeds, acting, cayleys, d, d, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,10 @@ from the lifted structure back to B, so coloring search reuses the
 homomorphism engine with the lifted structure as source; strong colorings
 pin the generators to their own indices.
 
-One kernel closes the lifted relations of a generated clone, for any
-domain size and generator arity: each generator acts on the carrier
-through its Cayley table over carrier indices, built once, and
-semi-naive rounds apply it only to combinations that hold a new tuple.
-numpy serves only its block step on two-element domains, and is imported
-there on first use.
+For a generated clone, the closure kernel of ``clones`` computes both the
+carrier (``generate_to_arity``) and the lifted relations: there each
+generator acts on tuples of carrier indices through its Cayley table over
+the carrier, built once per free structure.
 """
 
 from __future__ import annotations
@@ -22,30 +20,25 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from operator import add, mul
+from operator import add
 
+from . import clones
 from .clones import (
     DEFAULT_TABLE_CAP,
+    _CLOCK_EVERY,
     CloneGenSet,
     OperationTable,
     OpSearchResult,
+    _closure_of_tuples,
     all_polymorphisms,
     generate_to_arity,
     has_siggers,
     is_polymorphism,
     projection,
-    seminaive_pools,
 )
 from .homs import find_homomorphism
 from .search import BudgetExceededError, CrossCheckError, Outcome, SearchBudget
 from .structures import CapacityError, RelStructure, column_cells, shifted_codes
-
-_CLOCK_EVERY = 4096  # loop iterations between two reads of the budget's deadline
-
-# Cayley tables and numpy code marks of at most this many cells are built
-# densely; larger Cayley tables fill lazily and their closures stay in Python
-_DENSE_CELLS = DEFAULT_TABLE_CAP
 
 
 @dataclass(frozen=True)
@@ -107,128 +100,44 @@ class _Memo(dict):
         return value
 
 
-def _digits(code: int, base: int, count: int) -> tuple[int, ...]:
-    """The ``count`` base-``base`` digits of ``code``, most significant first."""
-    out = []
-    for _ in range(count):
-        code, r = divmod(code, base)
-        out.append(r)
-    return tuple(reversed(out))
-
-
-def _cayley(g: OperationTable, tables, index):
+def _cayley(g: OperationTable, tables, index, budget: SearchBudget | None):
     """Cayley table of ``g`` over the carrier: ``rows[h][j]`` is the carrier
     index of g applied to the head arguments whose carrier indices, read as
     base-|F| digits, give h, and to carrier element j last.  Filled lazily
-    from a memo when its |F|^arity cells exceed ``_DENSE_CELLS``."""
+    from a memo when its |F|^arity cells exceed ``clones._DENSE_CELLS``.
+    The budget's deadline is read once per row."""
     d, n, f, width = g.domain_size, g.arity, len(tables), len(tables[0])
     look = g.table.__getitem__
 
     def cells(head):  # the row of these head arguments, as a function of j
+        if budget:
+            budget.check()
         codes = shifted_codes(d, [tables[i] for i in head], width)
         return lambda j: index[tuple(map(look, map(add, codes, tables[j])))]
 
-    if f**n <= _DENSE_CELLS:
+    if f**n <= clones._DENSE_CELLS:
         return [list(map(cells(head), range(f)))
                 for head in itertools.product(range(f), repeat=n - 1)]
-    return _Memo(lambda h: _Memo(cells(_digits(h, f, n - 1))))
+    return _Memo(lambda h: _Memo(cells([h // f**p % f for p in range(n - 2, -1, -1)])))
 
 
-# cells per gather of the numpy block step: temporaries well under a MB
-_BLOCK = 2**16
-
-
-def _apply_numpy(rows, pools, f: int, k: int, out: set):
-    """Add to ``out`` the code of T(t_1, ..., t_n) for every combination of
-    tuples t_p from ``pools[p]``, by gathers over outer products."""
-    import numpy as np
-
-    # codes stay under f**k and row offsets under len(rows) * f = f**n, both
-    # at most _DENSE_CELLS = 2**20, so int32 holds every intermediate
-    table = np.array(rows, dtype=np.int32).reshape(-1)
-    # pools by coordinate: row j holds the j-th entries of the pool's tuples
-    *heads, last = (np.array(p, dtype=np.int32).reshape(-1, k).T.copy() for p in pools)
-    head = np.zeros((k, 1), dtype=np.int32)
-    for pool in heads:
-        head = (head[:, :, None] * f + pool[:, None, :]).reshape(k, -1)
-    head *= f  # offsets of the head combinations' rows in the flat table
-    mark = np.zeros(f**k, dtype=bool)
-    step = max(1, _BLOCK // max(1, last.shape[1]))
-    for s in range(0, head.shape[1], step):
-        code = table.take(np.add.outer(head[0, s:s + step], last[0]))
-        for j in range(1, k):
-            code *= f
-            code += table.take(np.add.outer(head[j, s:s + step], last[j]))
-        mark[code] = True
-    out.update(np.flatnonzero(mark).tolist())
-
-
-def _apply_python(rows, pools, f: int, k: int, out: set):
-    """Add to ``out`` the code of T(t_1, ..., t_n) for every combination of
-    tuples t_p from ``pools[p]``, a row lookup per last argument."""
-    *heads, last = pools
-    columns = [[t[j] for t in last] for j in range(k)]
-    for combo in itertools.product(*heads):
-        codes = None
-        for j, column in enumerate(columns):
-            h = 0
-            for t in combo:
-                h = h * f + t[j]
-            values = map(rows[h].__getitem__, column)
-            codes = values if codes is None else map(add, map(mul, codes, repeat(f)), values)
-        out.update(codes)
-
-
-def _closure_of_tuples(seeds, generators, cayleys, f: int, d: int):
-    """Close a set of k-tuples of carrier indices under the componentwise
-    action of the generators, given their Cayley tables over the carrier.
-
-    Rounds are semi-naive: each applies the generators only to combinations
-    that hold a tuple new in the previous round.  Tuples are deduplicated
-    by their integer code over |F|^k.  On a two-element domain, when the
-    Cayley tables are filled and |F|^k codes fit under ``_DENSE_CELLS``,
-    each block step runs in numpy; otherwise in pure Python.
-    """
-    seeds = sorted(set(seeds))
-    if not seeds:
-        return ()
-    k = len(seeds[0])
-    vector = (d == 2 and f**k <= _DENSE_CELLS
-              and all(isinstance(rows, list) for rows in cayleys))
-    apply = _apply_numpy if vector else _apply_python
-    seen = {sum(x * f**(k - 1 - j) for j, x in enumerate(t)) for t in seeds}
-    old, frontier = [], seeds
-    while frontier:
-        if len(seen) > DEFAULT_TABLE_CAP:
-            raise CapacityError("lifted relation exceeds the size cap")
-        every = old + frontier
-        found: set[int] = set()
-        for g, rows in zip(generators, cayleys):
-            for pools in seminaive_pools(g, old, frontier, every):
-                apply(rows, pools, f, k, found)
-        found -= seen
-        seen |= found
-        old, frontier = every, [_digits(c, f, k) for c in sorted(found)]
-    return tuple(_digits(c, f, k) for c in sorted(seen))
-
-
-def free_structure(gen: CloneGenSet, b: RelStructure) -> FreeStructure:
-    """Free structure of a generated clone over b, computed to fixpoint."""
+def free_structure(gen: CloneGenSet, b: RelStructure,
+                   budget: SearchBudget | None = None) -> FreeStructure:
+    """Free structure of a generated clone over b, computed to fixpoint.
+    Every closure reads the budget's deadline; past it BudgetExceededError
+    is raised."""
     d = gen.domain_size
     nb = b.size
-    if d**nb > DEFAULT_TABLE_CAP:
-        raise CapacityError(
-            f"carrier elements need {d**nb} cells, over cap {DEFAULT_TABLE_CAP}")
-    carrier = generate_to_arity(gen, nb)
+    carrier = generate_to_arity(gen, nb, budget)
     index = {op.table: i for i, op in enumerate(carrier)}
     gen_index = tuple(index[projection(d, nb, v + 1).table] for v in range(nb))
     acting = gen.acting()
     tables = [op.table for op in carrier]
-    cayleys = [_cayley(g, tables, index) for g in acting]
+    cayleys = [_cayley(g, tables, index, budget) for g in acting]
     lifted = {}
     for name, _ in b.signature.rel_names:
         seeds = [tuple(gen_index[v] for v in t) for t in b.relations[name]]
-        lifted[name] = _closure_of_tuples(seeds, acting, cayleys, len(carrier), d)
+        lifted[name] = _closure_of_tuples(seeds, acting, cayleys, len(carrier), d, budget)
     return FreeStructure(d, b, carrier, gen_index, lifted, "generators")
 
 
@@ -315,7 +224,7 @@ def clone_members_to_arity(gen_or_structure, max_arity: int,
     out = []
     for n in range(1, max_arity + 1):
         if isinstance(gen_or_structure, CloneGenSet):
-            out.extend(generate_to_arity(gen_or_structure, n))
+            out.extend(generate_to_arity(gen_or_structure, n, budget))
         else:
             out.extend(all_polymorphisms(gen_or_structure, n, budget))
     return out

@@ -11,7 +11,7 @@ Hagemann-Mitschke chain found by direct search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .clones import (
     CloneGenSet,
@@ -23,7 +23,7 @@ from .clones import (
     projection,
 )
 from .freestruct import ColoringResult, FreeStructure, find_coloring, free_structure
-from .search import CrossCheckError, Outcome, SearchBudget
+from .search import BudgetExceededError, CrossCheckError, Outcome, SearchBudget
 from .structures import RelStructure
 
 DAY_LABELS = ("1", "2", "3", "4")
@@ -111,6 +111,7 @@ def find_hagemann_mitschke(target, n: int,
     For a relational structure the chain is sought among polymorphisms via
     the identity engine; for a generated clone the ternary members are
     materialized and chained through their binary faces p(x,x,y), p(x,y,y).
+    A budget that runs out gives BUDGET.
     """
     if isinstance(target, RelStructure):
         res = find_operation_satisfying(target, hagemann_mitschke_system(n), budget)
@@ -123,7 +124,10 @@ def find_hagemann_mitschke(target, n: int,
     if not isinstance(target, CloneGenSet):
         raise TypeError("expected a RelStructure or CloneGenSet")
     gen = target
-    members = generate_to_arity(gen, 3)
+    try:
+        members = generate_to_arity(gen, 3, budget)
+    except BudgetExceededError:
+        return HMSearchResult(Outcome.BUDGET)
     d = gen.domain_size
     # p(x,y,y) and p(x,x,y) as binary tables; a chain is a path from the
     # first projection to the second along these faces
@@ -171,9 +175,23 @@ class MaltsevConditionResult:
 
     condition: str
     holds: bool | None                # None when the budget ran out
-    free: FreeStructure
+    free: FreeStructure | None        # None when it ran out building it
     coloring: ColoringResult
     chain: HMChain | None = None
+
+
+def _strong_coloring_test(condition: str, gen: CloneGenSet, b: RelStructure,
+                          budget: SearchBudget | None) -> MaltsevConditionResult:
+    """The condition holds iff the free structure of ``gen`` over b has no
+    strong coloring; undecided, with no free structure, if the budget runs
+    out while that is built."""
+    try:
+        free = free_structure(gen, b, budget)
+    except BudgetExceededError:
+        return MaltsevConditionResult(condition, None, None, ColoringResult(Outcome.BUDGET))
+    col = find_coloring(free, strong=True, budget=budget)
+    holds = None if col.outcome is Outcome.BUDGET else col.outcome is Outcome.REFUTED
+    return MaltsevConditionResult(condition, holds, free, col)
 
 
 def is_n_permutable_somewhere(gen: CloneGenSet,
@@ -182,21 +200,15 @@ def is_n_permutable_somewhere(gen: CloneGenSet,
 
     Decided as NOT(strongly colorable by the two-element order); positive
     answers try to attach a chain for n = 2..4 (the chain may legitimately
-    be absent at these small n).
+    be absent at these small n, or when the budget runs out in its search).
     """
-    free = free_structure(gen, boolean_order())
-    col = find_coloring(free, strong=True, budget=budget)
-    if col.outcome is Outcome.BUDGET:
-        return MaltsevConditionResult("n-permutable", None, free, col)
-    holds = col.outcome is Outcome.REFUTED
-    chain = None
-    if holds:
+    res = _strong_coloring_test("n-permutable", gen, boolean_order(), budget)
+    if res.holds:
         for n in range(2, 5):
-            res = find_hagemann_mitschke(gen, n, budget)
-            if res.found:
-                chain = res.chain
-                break
-    return MaltsevConditionResult("n-permutable", holds, free, col, chain)
+            found = find_hagemann_mitschke(gen, n, budget)
+            if found.outcome is not Outcome.REFUTED:
+                return replace(res, chain=found.chain)
+    return res
 
 
 def is_congruence_modular(gen: CloneGenSet,
@@ -205,9 +217,4 @@ def is_congruence_modular(gen: CloneGenSet,
 
     Decided as NOT(strongly colorable by the Day structure).
     """
-    free = free_structure(gen, day_structure())
-    col = find_coloring(free, strong=True, budget=budget)
-    if col.outcome is Outcome.BUDGET:
-        return MaltsevConditionResult("congruence-modular", None, free, col)
-    return MaltsevConditionResult("congruence-modular",
-                                  col.outcome is Outcome.REFUTED, free, col)
+    return _strong_coloring_test("congruence-modular", gen, day_structure(), budget)

@@ -7,16 +7,24 @@ then advances the clock by one, so a read stands for one check interval of
 work and the fake time at the end counts the reads a decision made.
 """
 
+import itertools
+import json
 import math
 
 import pytest
+from click.testing import CliRunner
 
+import clonekit.clones
 import clonekit.search
-from clonekit import Outcome, RelStructure, SearchBudget
+from clonekit import CloneGenSet, OperationTable, Outcome, RelStructure, SearchBudget
+from clonekit.cli import main
+from clonekit.clones import clone_to_dict, generate_to_arity
 from clonekit.constructions import PPSearchBounds, bounded_pp_search, is_pp_definable
 from clonekit.freestruct import (
     Coloring,
+    _cayley,
     _polymorphisms_by_arity,
+    free_structure,
     free_structure_over_polymorphisms,
     h1_homomorphism_exists,
     h1_to_projections,
@@ -24,9 +32,11 @@ from clonekit.freestruct import (
     projection_test_structure,
 )
 from clonekit.homs import core_of, hom_equivalent
+from clonekit.maltsev import boolean_order, is_congruence_modular, is_n_permutable_somewhere
 from clonekit.search import BudgetExceededError
+from clonekit.structures import serialize_structure
 
-from conftest import LE
+from conftest import LE, MAX2, MIN2
 
 
 class FakeClock:
@@ -50,6 +60,10 @@ LE_S = RelStructure.make(2, {"le": LE, "s0": [(0,)], "s1": [(1,)]})
 K2 = RelStructure.make(2, {"edge": [(0, 1), (1, 0)]})
 K3 = RelStructure.make(3, {"edge": [(a, b) for a in range(3) for b in range(3) if a != b]})
 PATH3 = RelStructure.make(3, {"edge": [(0, 1), (1, 0), (1, 2), (2, 1)]})
+LATTICE2 = CloneGenSet.of(2, [MIN2, MAX2])
+LATTICE3 = CloneGenSet.of(3, [OperationTable(3, 2, tuple(op(x, y) for x in range(3)
+                                                         for y in range(3)))
+                              for op in (min, max)])
 
 # Decisions made of several small searches, none of which reaches 64 nodes,
 # so that no single search runs out on its own.  ``raises`` marks the
@@ -63,6 +77,9 @@ DECISIONS = {
     "h1_to_projections": (lambda budget: h1_to_projections(LE_S, budget), False),
     "bounded_pp_search": (lambda budget: bounded_pp_search(
         LE_S, LE_S, PPSearchBounds(1, 0, 1), budget), False),
+    # closures of a generated clone: rounds and blocks, numpy and Python
+    "generate_to_arity": (lambda budget: generate_to_arity(LATTICE3, 2, budget), True),
+    "free_structure": (lambda budget: free_structure(LATTICE2, LE_S, budget), True),
 }
 
 
@@ -135,3 +152,74 @@ def test_induced_operations_stop_at_the_deadline(clock):
     out = induced_operations(free, coloring, many, SearchBudget(time_limit_ms=1e12))
     assert len(out) == len(many)
     assert clock.now == 1 + math.ceil(len(many) / 4096)
+
+
+@pytest.mark.parametrize("closure", [
+    lambda budget: generate_to_arity(LATTICE2, 3, budget),
+    lambda budget: generate_to_arity(LATTICE3, 4, budget),
+    lambda budget: free_structure(LATTICE2, boolean_order(), budget),
+    lambda budget: free_structure(LATTICE3, boolean_order(), budget),
+], ids=["generate-d2", "generate-d3", "free-d2", "free-d3"])
+def test_closures_stop_at_an_expired_deadline(clock, closure):
+    with pytest.raises(BudgetExceededError):
+        closure(SearchBudget(time_limit_ms=500))  # the next read is past it
+    assert clock.now == 2
+
+
+@pytest.mark.parametrize("body, k, heads, reads", [
+    ("_apply_python", 13, 1, 2),  # 8,192 results: one read per 4,096
+    ("_apply_numpy", 9, 2, 4),    # 262,144 results: one read per block of 2**16
+])
+def test_block_steps_read_the_deadline_within_a_round(clock, body, k, heads, reads):
+    apply = getattr(clonekit.clones, body)
+    tuples = list(itertools.product(range(2), repeat=k))
+    pools = [tuples] * heads + [tuples[:1]]
+    rows = [[int(h > 0 or j > 0) for j in range(2)] for h in range(2**heads)]  # "or"
+    apply(rows, pools, 2, k, set(), SearchBudget(time_limit_ms=1e12))
+    assert clock.now == 1 + reads
+    clock.now = 0
+    with pytest.raises(BudgetExceededError):
+        apply(rows, pools, 2, k, set(), SearchBudget(time_limit_ms=500))
+    assert clock.now == 2
+
+
+def test_cayley_tables_read_the_deadline_once_per_row(clock):
+    free = free_structure(LATTICE2, boolean_order())
+    tables = [op.table for op in free.carrier]
+    _cayley(MIN2, tables, free.carrier_index(), SearchBudget(time_limit_ms=1e12))
+    assert clock.now == 1 + len(tables)
+    clock.now = 0
+    with pytest.raises(BudgetExceededError):
+        _cayley(MIN2, tables, free.carrier_index(), SearchBudget(time_limit_ms=500))
+    assert clock.now == 2
+
+
+def test_maltsev_tests_are_inconclusive_when_the_closure_runs_out(clock):
+    for test in (is_n_permutable_somewhere, is_congruence_modular):
+        clock.now = 0
+        res = test(LATTICE3, SearchBudget(time_limit_ms=500))
+        assert (res.holds, res.free, res.coloring.outcome) == (None, None, Outcome.BUDGET)
+        assert clock.now == 2
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (["maltsev", "{lattice3}", "--test", "modular"], "inconclusive"),
+    (["maltsev", "{lattice3}", "--test", "n-perm"], "inconclusive"),
+    (["maltsev", "{lattice2}", "--test", "hm-chain", "--n", "2"], "inconclusive"),
+    (["color", "{lattice2}", "--target", "{le}"], "budget"),
+], ids=["modular", "n-perm", "hm-chain", "color"])
+def test_cli_stops_in_the_closure(clock, tmp_path, argv, verdict):
+    # under a limit of one fake second the budget runs out at its second
+    # check, which the closure of the carrier makes before any search
+    paths = {"le": tmp_path / "le.json"}
+    paths["le"].write_text(serialize_structure(RelStructure.make(2, {"le": LE})))
+    for name, gen in (("lattice2", LATTICE2), ("lattice3", LATTICE3)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(clone_to_dict(gen)))
+    out = tmp_path / "report.json"
+    argv = [a.format(**paths) for a in argv] + ["--budget-ms", "1000", "--json", str(out)]
+    res = CliRunner().invoke(main, argv)
+    assert res.exit_code == 4, res.output
+    report = json.loads(out.read_text())
+    assert (report["verdict"], report["timings"]["nodes"]) == (verdict, 0)
+    assert clock.now == 3

@@ -347,25 +347,29 @@ def test_closure_kernel_matches_naive_closure(monkeypatch):
     # relations of arity 1-3; each case also runs with the dense-table limit
     # at the smallest value that admits its carrier, where the Cayley tables
     # fill lazily and the block step has no mark
-    fs = clonekit.freestruct
+    fs, cl = clonekit.freestruct, clonekit.clones
     ran = set()
 
-    def spy(name, fn, tag):
+    def spy(module, name, tag):
+        fn = getattr(module, name)
+
         def wrapped(*args):
             result = fn(*args)
             ran.add(tag(result))
             return result
-        monkeypatch.setattr(fs, name, wrapped)
+        monkeypatch.setattr(module, name, wrapped)
 
-    spy("_cayley", fs._cayley, lambda rows: "lazy" if isinstance(rows, dict) else "filled")
-    spy("_apply_numpy", fs._apply_numpy, lambda _: "numpy")
-    spy("_apply_python", fs._apply_python, lambda _: "python")
+    spy(fs, "_cayley", lambda rows: "lazy" if isinstance(rows, dict) else "filled")
+    spy(cl, "_apply_numpy", lambda _: "numpy")
+    spy(cl, "_apply_python", lambda _: "python")
     rng = random.Random(20151015)
     seen = set()
+    carriers = set()
     checked = 0
     while checked < 150:
         d = rng.choice((2, 3))
-        nb = rng.choice((2, 3)) if d == 2 else 2
+        # nb = 4 at d = 2 is the carrier of the Day structure
+        nb = rng.choice((2, 3, 4)) if d == 2 else 2
         gens = [_random_operation(rng, d, rng.randint(0, 3))
                 for _ in range(rng.randint(1, 2))]
         rels = {}
@@ -387,13 +391,15 @@ def test_closure_kernel_matches_naive_closure(monkeypatch):
         want = _naive_free(gens, d, b)
         assert _as_tables(free) == want, (gens, rels)
         with monkeypatch.context() as m:
-            m.setattr(fs, "_DENSE_CELLS", max(d**nb, len(free.carrier)))
+            m.setattr(cl, "_DENSE_CELLS", max(d**nb, len(free.carrier)))
             assert _as_tables(free_structure(gen, b)) == want, (gens, rels)
         checked += 1
+        carriers.add((d, nb))
         seen |= {(d, "gen", g.arity) for g in gens}
         seen |= {(d, "rel", k) for _, k in b.signature.rel_names}
     assert seen == {(d, kind, n) for d in (2, 3) for kind, ns in
                     (("gen", range(4)), ("rel", range(1, 4))) for n in ns}
+    assert carriers == {(2, 2), (2, 3), (2, 4), (3, 2)}
     assert ran == {"lazy", "filled", "numpy", "python"}
 
 
