@@ -33,6 +33,7 @@ from .constructions import (
     pp_power,
 )
 from .freestruct import (
+    ColoringResult,
     free_structure,
     find_coloring,
     h1_homomorphism_exists,
@@ -418,7 +419,10 @@ def color(clone_file, target_path, strong, **common):
     b = _read_structure(target_path)
 
     def body(budget):
-        free = free_structure(gen, b, budget)
+        try:
+            free = free_structure(gen, b, budget)
+        except BudgetExceededError:  # the closure ran out before any search
+            return _searched(ColoringResult(Outcome.BUDGET))
         res = find_coloring(free, strong=strong, budget=budget)
         if res.found:
             certs = {"free": free_to_dict(free),

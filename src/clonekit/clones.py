@@ -9,8 +9,10 @@ relation preservation run through the same propagation kernel.
 
 One semi-naive kernel closes tuples under a clone's generators, each given
 by its Cayley table: it generates the clone (closing the projection
-tables) and the lifted relations of a free structure.  numpy serves its
-block step on two-element domains, imported there on first use.
+tables) and the lifted relations of a free structure.  On two-element
+domains its rounds run on numpy arrays and code marks, numpy imported there
+on first use; on larger ones on Python lists and sets.  A commutative
+binary generator takes each unordered pair of tuples once.
 """
 
 from __future__ import annotations
@@ -183,70 +185,180 @@ class CloneGenSet:
                      for g in self.generators)
 
 
-def seminaive_pools(g: OperationTable, old: list, frontier: list, every: list) -> list:
-    """Argument pools for one semi-naive round of closing under ``g``.
-
-    Between them the pools give every combination of ``g.arity`` members
-    that holds a frontier member, once: position p takes the frontier,
-    earlier positions the old members and later positions all of them
-    (``every`` is old + frontier).  A commutative binary ``g`` needs only
-    frontier x all, since the mirrored combinations give the same results.
-    """
-    n, d, t = g.arity, g.domain_size, g.table
-    if n == 2 and all(t[x * d + y] == t[y * d + x] for x in range(d) for y in range(x)):
-        return [(frontier, every)]
-    return [[old] * p + [frontier] + [every] * (n - 1 - p) for p in range(n)]
-
-
-# cells per gather of the numpy block step, and head combinations expanded
-# at once: temporaries of a few MB at most, however large the pools
+# results per block step, between two reads of the deadline, and table cells
+# gathered at once by the numpy body: temporaries of a few MB at most
 _BLOCK = 2**16
 
 
-def _apply_numpy(rows, pools, f: int, k: int, out: set, budget: SearchBudget | None):
-    """Add to ``out`` T(t_1, ..., t_n) for every combination of tuples t_p
-    from ``pools[p]``, by gathers over outer products of base-f codes."""
-    import numpy as np
+# frontier blocks per round of a commutative binary generator; a block also
+# pairs its own members in both orders, at most about 1/_TRIANGLE more pairs
+_TRIANGLE = 16
 
-    # int32 holds the codes, under f**k <= _DENSE_CELLS, and the table offsets
-    table = np.array(rows, dtype=np.int32).reshape(-1)
-    # pools by coordinate: row j holds the j-th entries of the pool's tuples
-    *heads, last = (np.array(p, dtype=np.int32).reshape(-1, k).T.copy() for p in pools)
-    mark = np.zeros(f**k, dtype=bool)
-    combos = math.prod(pool.shape[1] for pool in heads)
-    step = max(1, _BLOCK // max(1, last.shape[1]))  # head combinations per block
-    chunk = step * max(1, _BLOCK // step)  # head combinations expanded at once
-    for c in range(0, combos, chunk):
-        # head combinations c, c+1, ... read as mixed-radix digits, one per pool
-        combo = np.arange(c, min(c + chunk, combos))
-        head = np.zeros((k, combo.size), dtype=np.int32)
-        for pool in heads:
-            combo, i = np.divmod(combo, pool.shape[1])
-            head = head * f + pool[:, i]
-        head *= f  # offsets of the head combinations' rows in the flat table
-        for s in range(0, head.shape[1], step):
-            if budget:
+
+def seminaive_pools(g: OperationTable, old, frontier, every) -> list:
+    """Argument pools for one semi-naive round of closing under ``g``.
+
+    ``every`` is frontier + old, frontier first; the three are lists or
+    arrays of tuples, sliced alike.  Between them the pools give every
+    combination of ``g.arity`` members that holds a frontier member, once:
+    position p takes the frontier, earlier positions the old members and
+    later positions all of them.  A commutative binary ``g`` gives a pair
+    and its mirror the same result, so it takes each unordered pair once:
+    blocks (frontier[lo:hi], every[lo:]) pair the frontier member at i with
+    every member from i on, and with the block's own members before i.
+    """
+    n, d, t = g.arity, g.domain_size, g.table
+    if n == 2 and all(t[x * d + y] == t[y * d + x] for x in range(d) for y in range(x)):
+        # a round of fewer than _BLOCK pairs stays one block: its mirrored
+        # pairs cost less than the numpy body's fixed cost per block
+        blocks = _TRIANGLE if len(frontier) * len(every) >= _BLOCK else 1
+        width = -(-len(frontier) // blocks)
+        return [(frontier[lo:lo + width], every[lo:])
+                for lo in range(0, len(frontier), width)]
+    return [[old] * p + [frontier] + [every] * (n - 1 - p) for p in range(n)]
+
+
+class _PythonBody:
+    """A closure's state in Python: pools are lists of tuples, and a
+    round's results and the tuples seen so far are sets."""
+
+    def __init__(self, cayleys, f: int, k: int):
+        self.tables, self.f, self.k = cayleys, f, k
+
+    def start(self, seeds: set) -> tuple[set, list]:
+        return set(seeds), list(seeds)
+
+    @staticmethod
+    def join(frontier: list, old: list) -> list:
+        return frontier + old
+
+    @staticmethod
+    def marks() -> set:
+        return set()
+
+    def apply(self, rows, pools, found: set, budget: SearchBudget | None):
+        """Add to ``found`` T(t_1, ..., t_n) for every combination of tuples
+        t_p from ``pools[p]``, a row lookup per last argument."""
+        *heads, last = pools
+        columns = list(zip(*last))
+        period = max(1, _CLOCK_EVERY // max(1, len(last)))  # about _CLOCK_EVERY results apart
+        for i, combo in enumerate(itertools.product(*heads), 1):
+            if budget and not i % period:
                 budget.check()
-            code = table.take(np.add.outer(head[0, s:s + step], last[0]))
-            for j in range(1, k):
-                code *= f
-                code += table.take(np.add.outer(head[j, s:s + step], last[j]))
-            mark[code] = True
-    code = np.flatnonzero(mark)  # back to tuples: base-f digits, first most significant
-    out.update(zip(*[(code // f**p % f).tolist() for p in range(k - 1, -1, -1)]))
+            found.update(zip(*[map(rows[h].__getitem__, col)
+                               for h, col in zip(column_cells(self.f, combo, self.k), columns)]))
+
+    @staticmethod
+    def fresh(found: set, seen: set) -> list:
+        found -= seen
+        seen |= found
+        return list(found)
+
+    @staticmethod
+    def tuples(seen: set) -> tuple[tuple[int, ...], ...]:
+        return tuple(sorted(seen))
 
 
-def _apply_python(rows, pools, f: int, k: int, out: set, budget: SearchBudget | None):
-    """Add to ``out`` T(t_1, ..., t_n) for every combination of tuples t_p
-    from ``pools[p]``, a row lookup per last argument."""
-    *heads, last = pools
-    columns = list(zip(*last))
-    period = max(1, _CLOCK_EVERY // max(1, len(last)))  # about _CLOCK_EVERY results apart
-    for i, combo in enumerate(itertools.product(*heads), 1):
-        if budget and not i % period:
-            budget.check()
-        out.update(zip(*[map(rows[h].__getitem__, col)
-                         for h, col in zip(column_cells(f, combo, k), columns)]))
+class _NumpyBody:
+    """A closure's state in numpy: a pool of N tuples is an (N, k) view of a
+    (k, N) int32 array of coordinates, and a round's results and the tuples
+    seen so far are boolean marks over the f**k codes of k-tuples.  A code
+    reads the coordinates as base-f digits, the first most significant, so
+    marked codes come out in sorted tuple order."""
+
+    def __init__(self, cayleys, f: int, k: int):
+        import numpy as np
+
+        self.f, self.k = f, k
+        # each Cayley table with rows by head code, and transposed, by last argument
+        self.tables = []
+        for rows in cayleys:
+            table = np.array(rows, dtype=np.int32)
+            self.tables.append((table, np.ascontiguousarray(table.T)))
+        # one block step's codes, and one coordinate's digits, reused by every step
+        self.code, self.part = np.empty(_BLOCK, dtype=np.intp), np.empty(_BLOCK, dtype=np.intp)
+
+    def start(self, seeds: set):
+        import numpy as np
+
+        seen = self.marks()
+        seen[np.array(list(seeds)) @ [self.f**j for j in range(self.k - 1, -1, -1)]] = True
+        return seen, self._pool(seen)
+
+    def _pool(self, mark):
+        import numpy as np
+
+        code = np.flatnonzero(mark)
+        coords = np.empty((self.k, code.size), dtype=np.int32)
+        for j in range(self.k - 1, -1, -1):
+            code, coords[j] = np.divmod(code, self.f)
+        return coords.T
+
+    @staticmethod
+    def join(frontier, old):
+        import numpy as np
+
+        return np.concatenate((frontier.T, old.T), axis=1).T
+
+    def marks(self):
+        import numpy as np
+
+        return np.zeros(self.f**self.k, dtype=bool)
+
+    def apply(self, rows, pools, found, budget: SearchBudget | None):
+        """Mark in ``found`` T(t_1, ..., t_n) for every combination of tuples
+        t_p from ``pools[p]``.  A result's code is the sum over coordinates
+        j of T's cell at their head code and last argument, times
+        f**(k-1-j).  One side, the last arguments or the head combinations,
+        is cut into chunks, and each chunk takes its table rows whole and
+        scaled, once; a block step gathers those by the other side, adds
+        them and marks the codes.  The side cut into chunks is the one whose
+        rows hold fewer cells in all."""
+        import numpy as np
+
+        table, table_t = rows
+        f, k = self.f, self.k
+        *heads, last = (pool.T for pool in pools)  # row j: the pool's j-th coordinates
+        combos = math.prod(pool.shape[1] for pool in heads)
+        by_last = table.shape[0] * last.shape[1] <= f * combos
+        for c in range(0, combos, _BLOCK):
+            # head combinations c, c+1, ... read as mixed-radix digits, one per
+            # pool, give the row codes of the Cayley table
+            combo = np.arange(c, min(c + _BLOCK, combos))
+            head = np.zeros((k, combo.size), dtype=np.int32)
+            for pool in heads:
+                combo, i = np.divmod(combo, pool.shape[1])
+                head = head * f + pool[:, i]
+            # rows of the table by last argument or by head code, taken whole
+            cells, chunked, gathered = (table_t, last, head) if by_last else (table, head, last)
+            width = max(1, min(chunked.shape[1], _BLOCK // cells.shape[1]))
+            step = max(1, _BLOCK // width)
+            for a in range(0, chunked.shape[1], width):
+                digits = [np.multiply(cells.take(chunked[j, a:a + width], axis=0).T,
+                                      f**(k - 1 - j), dtype=np.intp, order="C")
+                          for j in range(k)]
+                for s in range(0, gathered.shape[1], step):
+                    if budget:
+                        budget.check()
+                    picks = gathered[:, s:s + step]
+                    shape = (picks.shape[1], digits[0].shape[1])
+                    code = self.code[:shape[0] * shape[1]].reshape(shape)
+                    part = self.part[:code.size].reshape(shape)
+                    # the gathered rows are in range, and only mode="clip"
+                    # writes into out without buffering
+                    digits[0].take(picks[0], axis=0, out=code, mode="clip")
+                    for j in range(1, k):
+                        np.add(code, digits[j].take(picks[j], axis=0, out=part, mode="clip"),
+                               out=code)
+                    found[code] = True
+
+    def fresh(self, found, seen):
+        found &= ~seen
+        seen |= found
+        return self._pool(found)
+
+    def tuples(self, seen) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self._pool(seen).tolist()))
 
 
 def _closure_of_tuples(seeds, generators, cayleys, f: int, d: int,
@@ -257,34 +369,37 @@ def _closure_of_tuples(seeds, generators, cayleys, f: int, d: int,
     base-f code is h, and to j last.
 
     Rounds are semi-naive: each applies the generators only to combinations
-    that hold a tuple new in the previous round.  On a two-element domain
-    ``d``, with filled Cayley tables and f**k under ``_DENSE_CELLS``, each
-    block step runs in numpy, otherwise in Python.  The budget's deadline is
-    read each round and about every ``_CLOCK_EVERY`` results; past
-    ``DEFAULT_TABLE_CAP`` tuples, CapacityError is raised.
+    that hold a tuple new in the previous round, as ``seminaive_pools``
+    lays them out.  On a two-element domain ``d``, with filled Cayley
+    tables and f**k under ``_DENSE_CELLS``, the state lives in numpy arrays
+    and code marks (``_NumpyBody``), otherwise in Python lists and sets
+    (``_PythonBody``); either body runs the same rounds.  The budget's
+    deadline is read each round and about every ``_CLOCK_EVERY`` (Python)
+    or ``_BLOCK`` (numpy) results; past ``DEFAULT_TABLE_CAP`` tuples,
+    CapacityError is raised.
     """
-    seen = set(seeds)
-    if not seen:
+    seeds = set(seeds)
+    if not seeds:
         return ()
-    k = len(next(iter(seen)))
+    k = len(next(iter(seeds)))
     vector = (d == 2 and f**k <= _DENSE_CELLS
               and all(isinstance(rows, list) for rows in cayleys))
-    apply = _apply_numpy if vector else _apply_python
-    old, frontier = [], list(seen)
-    while frontier:
+    body = (_NumpyBody if vector else _PythonBody)(cayleys, f, k)
+    seen, frontier = body.start(seeds)
+    old, size = frontier[:0], len(frontier)
+    while len(frontier):
         if budget:
             budget.check()
-        if len(seen) > DEFAULT_TABLE_CAP:
+        if size > DEFAULT_TABLE_CAP:
             raise CapacityError(f"closure exceeds the cap of {DEFAULT_TABLE_CAP} tuples")
-        every = old + frontier
-        found: set[tuple[int, ...]] = set()
-        for g, rows in zip(generators, cayleys):
+        every = body.join(frontier, old)
+        found = body.marks()
+        for g, rows in zip(generators, body.tables):
             for pools in seminaive_pools(g, old, frontier, every):
-                apply(rows, pools, f, k, found, budget)
-        found -= seen
-        seen |= found
-        old, frontier = every, list(found)
-    return tuple(sorted(seen))
+                body.apply(rows, pools, found, budget)
+        old, frontier = every, body.fresh(found, seen)
+        size += len(frontier)
+    return body.tuples(seen)
 
 
 def generate_to_arity(gen: CloneGenSet, k: int,

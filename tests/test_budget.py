@@ -167,19 +167,20 @@ def test_closures_stop_at_an_expired_deadline(clock, closure):
 
 
 @pytest.mark.parametrize("body, k, heads, reads", [
-    ("_apply_python", 13, 1, 2),  # 8,192 results: one read per 4,096
-    ("_apply_numpy", 9, 2, 4),    # 262,144 results: one read per block of 2**16
+    ("_PythonBody", 13, 1, 2),  # 8,192 results: one read per 4,096
+    ("_NumpyBody", 9, 2, 4),    # 262,144 results: one read per block of 2**16
 ])
 def test_block_steps_read_the_deadline_within_a_round(clock, body, k, heads, reads):
-    apply = getattr(clonekit.clones, body)
-    tuples = list(itertools.product(range(2), repeat=k))
-    pools = [tuples] * heads + [tuples[:1]]
     rows = [[int(h > 0 or j > 0) for j in range(2)] for h in range(2**heads)]  # "or"
-    apply(rows, pools, 2, k, set(), SearchBudget(time_limit_ms=1e12))
+    body = getattr(clonekit.clones, body)([rows], 2, k)
+    tuples = list(itertools.product(range(2), repeat=k))
+    pool, first = (body.start(ts)[1] for ts in (tuples, tuples[:1]))
+    pools = [pool] * heads + [first]
+    body.apply(body.tables[0], pools, body.marks(), SearchBudget(time_limit_ms=1e12))
     assert clock.now == 1 + reads
     clock.now = 0
     with pytest.raises(BudgetExceededError):
-        apply(rows, pools, 2, k, set(), SearchBudget(time_limit_ms=500))
+        body.apply(body.tables[0], pools, body.marks(), SearchBudget(time_limit_ms=500))
     assert clock.now == 2
 
 
@@ -220,6 +221,7 @@ def test_cli_stops_in_the_closure(clock, tmp_path, argv, verdict):
     argv = [a.format(**paths) for a in argv] + ["--budget-ms", "1000", "--json", str(out)]
     res = CliRunner().invoke(main, argv)
     assert res.exit_code == 4, res.output
+    assert res.stdout == "inconclusive: budget exhausted\n"
     report = json.loads(out.read_text())
     assert (report["verdict"], report["timings"]["nodes"]) == (verdict, 0)
     assert clock.now == 3

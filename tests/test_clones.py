@@ -20,12 +20,14 @@ from clonekit import (
     projection,
     satisfies_system,
 )
+import clonekit.clones
 from clonekit.clones import (
     H1IdentitySystem,
     FlatTerm,
     cyclic_system,
     operation_from_dict,
     operation_to_dict,
+    seminaive_pools,
 )
 
 from conftest import DISEQ, LE, MINORITY, MIN2, MAX2
@@ -259,6 +261,47 @@ def test_generate_with_constant_generator():
     gen = CloneGenSet.of(2, [zero])
     got = generate_to_arity(gen, 2)
     assert (0, 0, 0, 0) in {g.table for g in got}
+
+
+def test_seminaive_pools_cover_each_frontier_combination(monkeypatch):
+    # a round must reach every combination that holds a frontier member: once
+    # each for a generator in general, and each unordered pair at least once,
+    # with no more than the triangle's block slack over once, for a
+    # commutative binary one; rounds of 256 pairs or more take blocks here
+    import random
+    from collections import Counter
+    monkeypatch.setattr(clonekit.clones, "_BLOCK", 256)
+    rng = random.Random(14)
+    kinds, widths = set(), set()
+    for _ in range(150):
+        d, n = rng.choice((2, 3)), rng.randint(1, 3)
+        table = [rng.randrange(d) for _ in range(d**n)]
+        if rng.random() < 0.5:  # symmetric in all arguments
+            cells = {args: i for i, args in enumerate(itertools.product(range(d), repeat=n))}
+            table = [table[cells[tuple(sorted(args))]] for args in cells]
+        g = OperationTable(d, n, tuple(table))
+        # binary rounds wide enough for blocks of several members
+        old = [("old", i) for i in range(rng.randint(0, 40 // n))]
+        frontier = [("new", i) for i in range(rng.randint(1, 120 // n**2))]
+        every = frontier + old
+        counts = Counter(combo for pools in seminaive_pools(g, old, frontier, every)
+                         for combo in itertools.product(*pools))
+        commutative = n == 2 and all(table[x * d + y] == table[y * d + x]
+                                     for x in range(d) for y in range(d))
+        kinds.add((d, n, commutative))
+        wanted = {c for c in itertools.product(every, repeat=n)
+                  if any(t[0] == "new" for t in c)}
+        if not commutative:
+            assert counts == Counter(wanted), (g, len(old), len(frontier))
+            continue
+        assert {frozenset(c) for c in counts} == {frozenset(c) for c in wanted}
+        m, f = len(old), len(frontier)
+        width = -(-f // clonekit.clones._TRIANGLE) if f * (f + m) >= 256 else f
+        assert sum(counts.values()) <= f * (f + 1) // 2 + f * m + f * (width - 1) // 2
+        widths.add(width)
+    assert {(d, n) for d, n, _ in kinds} == {(d, n) for d in (2, 3) for n in (1, 2, 3)}
+    assert max(widths) > 1
+    assert {(d, True) for d in (2, 3)} <= {(d, c) for d, n, c in kinds if n == 2}
 
 
 def test_operation_serialization_roundtrip():

@@ -360,8 +360,8 @@ def test_closure_kernel_matches_naive_closure(monkeypatch):
         monkeypatch.setattr(module, name, wrapped)
 
     spy(fs, "_cayley", lambda rows: "lazy" if isinstance(rows, dict) else "filled")
-    spy(cl, "_apply_numpy", lambda _: "numpy")
-    spy(cl, "_apply_python", lambda _: "python")
+    spy(cl._NumpyBody, "apply", lambda _: "numpy")
+    spy(cl._PythonBody, "apply", lambda _: "python")
     rng = random.Random(20151015)
     seen = set()
     carriers = set()
@@ -417,6 +417,27 @@ def test_three_element_free_structure_leaves_numpy_unimported(tmp_path):
                           env={**os.environ, "PYTHONPATH": pkg_root}, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["81", "False"]
+
+
+def test_lattice_day_free_structure_stays_within_its_memory_bound(lattice_clone):
+    # the numpy closure takes table cells a bounded chunk at a time; taking
+    # whole columns instead (166 x 7,010 cells per coordinate) goes far over
+    # the bound, which is the peak of the per-block kernel this one
+    # replaced (4.43 MiB)
+    import tracemalloc
+
+    import numpy  # noqa: F401  -- importing it is not the closure's memory
+    from clonekit.maltsev import day_structure
+
+    day = day_structure()
+    tracemalloc.start()
+    try:
+        free = free_structure(lattice_clone, day)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(free.lifted[name]) for name, _ in day.signature.rel_names] == [7010, 7010, 3226]
+    assert peak < 4.5 * 2**20
 
 
 def test_h1_enumerates_each_polymorphism_arity_once(monkeypatch, k3s):
