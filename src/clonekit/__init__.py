@@ -58,7 +58,6 @@ from .homs import (
     add_singletons,
     all_homomorphisms,
     core_of,
-    endomorphisms,
     find_homomorphism,
     find_isomorphism,
     hom_equivalent,

@@ -5,7 +5,10 @@ coding (first argument most significant).  Polymorphism enumeration is a
 homomorphism search from the n-th power into the structure, built directly
 as a table-cell CSP.  Systems of height-1 identities are compiled to
 equalities between table cells before search, so identity search and
-relation preservation run through the same propagation kernel.
+relation preservation run through the same propagation kernel.  Every
+height-1 evaluation reads its cells through ``minor_cells``: the cells an
+n-ary table reads as the m-ary minor f(x_sigma(1), ..., x_sigma(n)), for
+identities, projections and the minors of the h1 oracle alike.
 
 One semi-naive kernel closes tuples under a clone's generators, each given
 by its Cayley table: it generates the clone (closing the projection
@@ -28,7 +31,6 @@ from .search import CrossCheckError, Csp, Outcome, SearchBudget
 from .structures import (
     CapacityError,
     RelStructure,
-    TupleCoding,
     column_cells,
     shifted_codes,
 )
@@ -69,13 +71,23 @@ class OperationTable:
         return (self.arity, self.table)
 
 
+def minor_cells(d: int, sigma: Sequence[int], m: int) -> tuple[int, ...]:
+    """The cells an n-ary table (n = len(sigma)) reads when taken as the
+    m-ary minor f(x_sigma[0], ..., x_sigma[n-1]): cell c of the minor, for
+    the valuation of x_0..x_{m-1} with code c (first variable most
+    significant), reads cell ``minor_cells(d, sigma, m)[c]`` of f.  For a
+    single variable those cells are that variable's own values."""
+    if len(sigma) == 1:
+        block = d**(m - 1 - sigma[0])
+        return tuple(c // block % d for c in range(d**m))
+    return column_cells(d, [minor_cells(d, (s,), m) for s in sigma], d**m)
+
+
 def projection(domain_size: int, n: int, i: int) -> OperationTable:
     """The n-ary projection onto the i-th coordinate (1-based i)."""
     if not 1 <= i <= n:
         raise ValueError(f"projection index {i} out of range 1..{n}")
-    coding = TupleCoding(domain_size, n)
-    return OperationTable(domain_size, n,
-                          tuple(vec[i - 1] for vec in coding.all_vectors()))
+    return OperationTable(domain_size, n, minor_cells(domain_size, (i - 1,), n))
 
 
 def compose(f: OperationTable, gs: Sequence[OperationTable]) -> OperationTable:
@@ -101,18 +113,9 @@ def preserves(f: OperationTable, tuples: Iterable[Sequence[int]]) -> bool:
         return True
     member = set(rel)
     k = len(rel[0])
-    d = f.domain_size
-    table = f.table
-    for sel in itertools.product(rel, repeat=f.arity):
-        out = []
-        for j in range(k):
-            idx = 0
-            for t in sel:
-                idx = idx * d + t[j]
-            out.append(table[idx])
-        if tuple(out) not in member:
-            return False
-    return True
+    look = f.table.__getitem__
+    return all(tuple(map(look, column_cells(f.domain_size, sel, k))) in member
+               for sel in itertools.product(rel, repeat=f.arity))
 
 
 def is_polymorphism(f: OperationTable, a: RelStructure) -> bool:
@@ -519,7 +522,8 @@ def parse_identity_system(text: str) -> H1IdentitySystem:
 
 def satisfies_system(assignment: Mapping[str, OperationTable],
                      system: H1IdentitySystem) -> bool:
-    """Pointwise check of every equation over all variable valuations."""
+    """Check every equation by comparing its two sides as m-ary tables,
+    m the equation's variable count."""
     d = None
     for name, arity in system.symbols:
         op = assignment[name]
@@ -531,19 +535,16 @@ def satisfies_system(assignment: Mapping[str, OperationTable],
     if d is None:
         d = 1
 
-    def evaluate(side: FlatTerm, val: Sequence[int]) -> int:
+    def table(side: FlatTerm, m: int) -> tuple[int, ...]:
+        cells = minor_cells(d, side.args, m)
         if side.symbol is None:
-            return val[side.args[0]]
-        idx = 0
-        for v in side.args:
-            idx = idx * d + val[v]
-        return assignment[side.symbol].table[idx]
+            return cells
+        return tuple(map(assignment[side.symbol].table.__getitem__, cells))
 
     for lhs, rhs in system.equations:
-        nvars = max(lhs.var_count(), rhs.var_count())
-        for val in itertools.product(range(d), repeat=nvars):
-            if evaluate(lhs, val) != evaluate(rhs, val):
-                return False
+        m = max(lhs.var_count(), rhs.var_count())
+        if table(lhs, m) != table(rhs, m):
+            return False
     return True
 
 
@@ -614,27 +615,24 @@ def find_operation_satisfying(a: RelStructure, system: H1IdentitySystem,
         total += cells
 
     uf = _UnionFind(total)
-
-    def cell_of(term: FlatTerm, val: Sequence[int]) -> int:
-        idx = 0
-        for v in term.args:
-            idx = idx * d + val[v]
-        return offsets[term.symbol] + idx
-
+    # per valuation, in minor-cell order, since the order of unions numbers
+    # the CSP variables: a symbol side gives a table cell, a bare variable
+    # its value
     for lhs, rhs in system.equations:
-        nvars = max(lhs.var_count(), rhs.var_count())
-        for val in itertools.product(range(d), repeat=nvars):
-            if lhs.symbol is None and rhs.symbol is None:
-                if val[lhs.args[0]] != val[rhs.args[0]]:
-                    uf.consistent = False
-            elif lhs.symbol is None:
-                uf.pin(cell_of(rhs, val), val[lhs.args[0]])
-            elif rhs.symbol is None:
-                uf.pin(cell_of(lhs, val), val[rhs.args[0]])
-            else:
-                uf.union(cell_of(lhs, val), cell_of(rhs, val))
-            if not uf.consistent:
-                return OpSearchResult(Outcome.REFUTED)
+        if lhs.symbol is None:
+            lhs, rhs = rhs, lhs
+        m = max(lhs.var_count(), rhs.var_count())
+        left, right = (minor_cells(d, side.args, m) for side in (lhs, rhs))
+        if lhs.symbol is None:
+            uf.consistent = left == right
+        elif rhs.symbol is None:
+            for c, v in zip(left, right):
+                uf.pin(offsets[lhs.symbol] + c, v)
+        else:
+            for x, y in zip(left, right):
+                uf.union(offsets[lhs.symbol] + x, offsets[rhs.symbol] + y)
+        if not uf.consistent:
+            return OpSearchResult(Outcome.REFUTED)
 
     roots = sorted({uf.find(x) for x in range(total)})
     var_of_root = {r: i for i, r in enumerate(roots)}

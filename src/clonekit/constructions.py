@@ -1,9 +1,10 @@
 """Relational and algebraic construction operators.
 
-Primitive positive formulas are evaluated by joining atom relations with
-early pruning.  The bounded pp search joins no candidate formula: it
-evaluates each pool atom once over all free + e variables as a bitmask over
-their ``TupleCoding`` codes (first variable most significant), ANDs the
+A primitive positive formula is evaluated as a CSP over all of its
+variables on the kernel of ``search``, its free part projected out.  The
+bounded pp search evaluates no candidate formula: it reads each pool atom
+once over all free + e variables from the relation's minor, as a bitmask
+over their ``TupleCoding`` codes (first variable most significant), ANDs the
 masks of a formula's atoms, which is exact because every mask ranges over
 all of the variables, and projects out the existentials, the last e
 variables, by testing each block of d^e bits for nonzero.  pp-powers
@@ -26,6 +27,7 @@ from .clones import (
     DEFAULT_TABLE_CAP,
     OperationTable,
     is_polymorphism,
+    minor_cells,
     preservation_scopes,
     preserves,
 )
@@ -75,56 +77,21 @@ class PPFormula:
 
 
 def evaluate_pp(a: RelStructure, phi: PPFormula) -> tuple[tuple[int, ...], ...]:
-    """The exact satisfaction set of phi over ``a`` (free-variable tuples)."""
+    """The exact satisfaction set of phi over ``a`` (free-variable tuples):
+    the free prefixes of the solutions of phi as a CSP over all of its
+    variables, an existential that no atom mentions pinned to 0."""
     phi.check_against(a.signature)
     n = phi.free_vars + phi.exist_vars
-    # variables equated by equality atoms share one slot
-    rep = list(range(n))
-
-    def find(x):
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
-    for i, j in phi.eq_atoms:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            rep[max(ri, rj)] = min(ri, rj)
-    slot = [find(i) for i in range(n)]
-
-    partials: list[dict[int, int]] = [{}]
-    for name, args in phi.atoms:
-        rel = a.relations[name]
-        new = []
-        for p in partials:
-            for t in rel:
-                q = dict(p)
-                ok = True
-                for v, val in zip(args, t):
-                    s = slot[v]
-                    bound = q.get(s)
-                    if bound is None:
-                        q[s] = val
-                    elif bound != val:
-                        ok = False
-                        break
-                if ok:
-                    new.append(q)
-        partials = new
-        if not partials:
-            break
-
-    # free slots untouched by any atom range over the whole domain
-    free_slots = sorted({slot[v] for v in range(phi.free_vars)})
-    out = set()
-    for p in partials:
-        unbound = [s for s in free_slots if s not in p]
-        for extra in itertools.product(range(a.size), repeat=len(unbound)):
-            q = dict(p)
-            q.update(zip(unbound, extra))
-            out.add(tuple(q[slot[v]] for v in range(phi.free_vars)))
-    return tuple(sorted(out))
+    csp = Csp(n, a.size)
+    for name, _ in a.signature.rel_names:
+        csp.add_constraint([args for rel, args in phi.atoms if rel == name],
+                           a.relations[name], a._csp_forms.setdefault(name, {}))
+    csp.add_constraint(phi.eq_atoms, [(v, v) for v in range(a.size)])
+    mentioned = {v for _, args in phi.atoms for v in args}.union(*phi.eq_atoms)
+    for v in range(phi.free_vars, n):
+        if v not in mentioned:
+            csp.assign(v, 0)
+    return tuple(sorted({sol[:phi.free_vars] for sol in csp.solutions(order="index")}))
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +299,11 @@ def reflect_operation(f: OperationTable, maps: ReflectionMaps) -> OperationTable
     """(x_1..x_n) -> h2(f(h1(x_1), ..., h1(x_n))) as a table over B."""
     if f.domain_size != maps.source_size:
         raise ValueError("operation domain does not match h2's domain")
-    b = maps.target_size
-    h1, h2 = maps.h1, maps.h2
-    d = f.domain_size
-    table = []
-    for xs in itertools.product(range(b), repeat=f.arity):
-        idx = 0
-        for x in xs:
-            idx = idx * d + h1[x]
-        table.append(h2[f.table[idx]])
-    return OperationTable(b, f.arity, tuple(table))
+    b, n = maps.target_size, f.arity
+    # per argument i, h1 of x_i over the valuations of x_1..x_n in B
+    args = [tuple(map(maps.h1.__getitem__, minor_cells(b, (i,), n))) for i in range(n)]
+    cells = column_cells(f.domain_size, args, b**n)
+    return OperationTable(b, n, tuple(maps.h2[f.table[c]] for c in cells))
 
 
 def reflect_operations(ops: Iterable[OperationTable],
@@ -400,13 +362,17 @@ class BoundedSearchResult:
         return self.outcome is Outcome.FOUND
 
 
-def _atom_mask(a: RelStructure, nv: int, atoms, eq_atoms) -> int:
-    """The satisfaction set of one atom over all ``nv`` variables, as a
-    bitmask whose bit c is the tuple with ``TupleCoding`` code c."""
-    coding = TupleCoding(a.size, nv)
+def _atom_mask(d: int, nv: int, args: tuple[int, ...], tuples) -> int:
+    """The satisfaction set over all ``nv`` variables of the atom that puts
+    ``args`` in the relation ``tuples``, as a bitmask: bit c is set when
+    cell c of the atom's minor, the valuation with ``TupleCoding`` code c,
+    codes a tuple of the relation."""
+    coding = TupleCoding(d, len(args))
+    codes = {coding.encode(t) for t in tuples}
     mask = 0
-    for t in evaluate_pp(a, PPFormula(nv, 0, atoms, eq_atoms)):
-        mask |= 1 << coding.encode(t)
+    for c, cell in enumerate(minor_cells(d, args, nv)):
+        if cell in codes:
+            mask |= 1 << c
     return mask
 
 
@@ -416,16 +382,18 @@ def _candidate_formulas(a: RelStructure, free: int, bounds: PPSearchBounds):
     its sorted satisfaction set.  Of the formulas with one satisfaction set,
     the first in this order is kept.
 
-    No combination is joined.  For each existential count e, each pool atom
-    is evaluated once as a formula whose free variables are all free + e
-    variables, stored as a bitmask over their d^(free+e) ``TupleCoding``
-    codes (first variable most significant).  Since every atom is evaluated
+    No combination is evaluated.  For each existential count e, each pool
+    atom's satisfaction set over all free + e variables is read once from
+    its relation's minor (``_atom_mask``), as a bitmask over their
+    d^(free+e) ``TupleCoding`` codes (first variable most significant),
+    equality atoms from the diagonal's.  Since every atom is evaluated
     over all of the variables, a combination's satisfaction set over them is
     exactly the AND of its atoms' masks, and the full mask for no atoms.
     The existentials are the last e variables, so the free tuple with code
     f survives projection iff bits f*d^e .. (f+1)*d^e - 1 are not all zero.
     """
     d = a.size
+    diagonal = [(v, v) for v in range(d)]
     free_tuples = list(itertools.product(range(d), repeat=free))
     seen = set()
     ordered = []
@@ -435,11 +403,11 @@ def _candidate_formulas(a: RelStructure, free: int, bounds: PPSearchBounds):
         pool = []  # (mask, relational atom, equality atom, mentions x_{nv-1})
         for name, ar in a.signature.rel_names:
             for args in itertools.product(range(nv), repeat=ar):
-                pool.append((_atom_mask(a, nv, ((name, args),), ()),
+                pool.append((_atom_mask(d, nv, args, a.relations[name]),
                              (name, args), None, nv - 1 in args))
         for i in range(nv):
             for j in range(i + 1, nv):
-                pool.append((_atom_mask(a, nv, (), ((i, j),)), None, (i, j), j == nv - 1))
+                pool.append((_atom_mask(d, nv, (i, j), diagonal), None, (i, j), j == nv - 1))
         pools.append(pool)
     for natoms in range(bounds.max_atoms + 1):
         for e, pool in enumerate(pools):

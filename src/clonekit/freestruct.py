@@ -34,11 +34,12 @@ from .clones import (
     generate_to_arity,
     has_siggers,
     is_polymorphism,
+    minor_cells,
     projection,
 )
 from .homs import find_homomorphism
 from .search import BudgetExceededError, CrossCheckError, Outcome, SearchBudget
-from .structures import CapacityError, RelStructure, column_cells, shifted_codes
+from .structures import CapacityError, RelStructure, shifted_codes
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ def free_structure(gen: CloneGenSet, b: RelStructure,
     nb = b.size
     carrier = generate_to_arity(gen, nb, budget)
     index = {op.table: i for i, op in enumerate(carrier)}
-    gen_index = tuple(index[projection(d, nb, v + 1).table] for v in range(nb))
+    gen_index = tuple(index[minor_cells(d, (v,), nb)] for v in range(nb))
     acting = gen.acting()
     tables = [op.table for op in carrier]
     cayleys = [_cayley(g, tables, index, budget) for g in acting]
@@ -168,8 +169,7 @@ def free_structure_over_polymorphisms(a: RelStructure, b: RelStructure,
         polys = _polymorphisms_by_arity(a, budget)
     carrier = tuple(polys[nb])
     index = {op.table: i for i, op in enumerate(carrier)}
-    projs = [projection(d, nb, v + 1).table for v in range(nb)]
-    gen_index = tuple(index[p] for p in projs)
+    gen_index = tuple(index[minor_cells(d, (v,), nb)] for v in range(nb))
     lifted = {}
     for name, k in b.signature.rel_names:
         rows = b.relations[name]
@@ -180,9 +180,8 @@ def free_structure_over_polymorphisms(a: RelStructure, b: RelStructure,
         if d**m > DEFAULT_TABLE_CAP:
             raise CapacityError(f"lifting {name!r} needs arity-{m} polymorphisms, "
                                 f"over cap {DEFAULT_TABLE_CAP}")
-        # per column j, the cells f(pi_{row[j]} for row in rows) reads
-        minors = [column_cells(d, [projs[row[j]] for row in rows], d**nb)
-                  for j in range(k)]
+        # per column j, the cells of the nb-ary minor f(x_{row[j]} for row in rows)
+        minors = [minor_cells(d, [row[j] for row in rows], nb) for j in range(k)]
         out = set()
         for i, f in enumerate(polys[m]):
             if budget and i % _CLOCK_EVERY == 0:
@@ -240,9 +239,8 @@ def induced_operations(free: FreeStructure, coloring: Coloring, members: list[Op
     d = free.domain_size
     nb = free.b.size
     index = free.carrier_index()
-    projs = [projection(d, nb, v + 1).table for v in range(nb)]
-    # arity n -> per argument map (b1..bn), the cells f(pi_b1..pi_bn) reads
-    minors = _Memo(lambda n: [column_cells(d, [projs[v] for v in bs], d**nb)
+    # arity n -> per argument map (b1..bn), the cells of the minor f(x_b1..x_bn)
+    minors = _Memo(lambda n: [minor_cells(d, bs, nb)
                               for bs in itertools.product(range(nb), repeat=n)])
     out = []
     for i, f in enumerate(members):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .search import (
     BudgetExceededError,
@@ -287,9 +287,3 @@ def find_isomorphism(a: RelStructure, b: RelStructure) -> HomMap | None:
         if is_hom(HomMap(b.size, a.size, tuple(inv)), b, a):
             return f
     return None
-
-
-def endomorphisms(a: RelStructure, budget: SearchBudget | None = None) -> Iterator[HomMap]:
-    csp = hom_csp(a, a)
-    for sol in csp.solutions(budget=budget, order="index"):
-        yield HomMap(a.size, a.size, sol)

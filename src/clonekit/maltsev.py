@@ -20,7 +20,8 @@ from .clones import (
     OperationTable,
     find_operation_satisfying,
     generate_to_arity,
-    projection,
+    minor_cells,
+    satisfies_system,
 )
 from .freestruct import ColoringResult, FreeStructure, find_coloring, free_structure
 from .search import BudgetExceededError, CrossCheckError, Outcome, SearchBudget
@@ -65,19 +66,10 @@ class HMChain:
 
 
 def verify_hm_chain(chain: HMChain) -> bool:
-    """Pointwise check of p1(x,y,y)=x, p_{n-1}(x,x,y)=y and the links."""
-    ops = chain.ops
-    d = ops[0].domain_size
-    for x in range(d):
-        for y in range(d):
-            if ops[0].apply(x, y, y) != x:
-                return False
-            if ops[-1].apply(x, x, y) != y:
-                return False
-            for i in range(len(ops) - 1):
-                if ops[i].apply(x, x, y) != ops[i + 1].apply(x, y, y):
-                    return False
-    return True
+    """Check p1(x,y,y)=x, p_{n-1}(x,x,y)=y and the links; a chain whose
+    operations have different domain sizes fails."""
+    assignment = {f"p{i}": op for i, op in enumerate(chain.ops, 1)}
+    return satisfies_system(assignment, hagemann_mitschke_system(chain.n))
 
 
 def hagemann_mitschke_system(n: int) -> H1IdentitySystem:
@@ -132,12 +124,12 @@ def find_hagemann_mitschke(target, n: int,
     # p(x,y,y) and p(x,x,y) as binary tables; a chain is a path from the
     # first projection to the second along these faces
     edges: dict[tuple[int, ...], list[tuple[tuple[int, ...], OperationTable]]] = {}
+    right_cells, left_cells = minor_cells(d, (0, 1, 1), 2), minor_cells(d, (0, 0, 1), 2)
     for op in members:
-        right = tuple(op.apply(x, y, y) for x in range(d) for y in range(d))
-        left = tuple(op.apply(x, x, y) for x in range(d) for y in range(d))
-        edges.setdefault(right, []).append((left, op))
-    start = projection(d, 2, 1).table
-    goal = projection(d, 2, 2).table
+        look = op.table.__getitem__
+        edges.setdefault(tuple(map(look, right_cells)), []).append(
+            (tuple(map(look, left_cells)), op))
+    start, goal = minor_cells(d, (0,), 2), minor_cells(d, (1,), 2)
 
     def dfs(node, steps, path, dead):
         if steps == 0:

@@ -1,8 +1,8 @@
 """Shared backtracking kernel: finite CSPs with generalized arc consistency.
 
 Every decision procedure in the package (homomorphism search, polymorphism
-enumeration, identity-constrained table search, coloring search) reduces to
-the same problem shape: variables with bitmask domains and positive table
+enumeration, identity-constrained table search, coloring search, pp formula
+evaluation) reduces to the same problem shape: variables with bitmask domains and positive table
 constraints.  One call adds one relation on all of its scopes, and the
 relation is compiled once per equality pattern of those scopes; a caller
 that adds the same relation to many CSPs can pass one memo of compiled forms

@@ -76,10 +76,6 @@ class TupleCoding:
             code, out[i] = divmod(code, self.base)
         return tuple(out)
 
-    def all_vectors(self) -> Iterable[tuple[int, ...]]:
-        for code in range(self.count):
-            yield self.decode(code)
-
 
 def shifted_codes(d: int, tables: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:
     """Per cell, d times the code of the argument vector read from ``tables``
@@ -141,9 +137,9 @@ class RelStructure:
     ``relations`` maps each signature symbol to its canonically sorted tuple
     set.  Instances are immutable and safe to share across threads; the one
     mutable field, ``_csp_forms``, is a cache of compiled CSP forms of the
-    relations over this domain, filled lazily by ``homs.hom_csp`` and
-    ``constructions.is_pp_definable``; the forms are pure functions of the
-    relations and never change once stored.
+    relations over this domain, filled lazily by ``homs.hom_csp``,
+    ``constructions.evaluate_pp`` and ``constructions.is_pp_definable``; the
+    forms are pure functions of the relations and never change once stored.
     """
 
     size: int
@@ -153,7 +149,7 @@ class RelStructure:
         init=False, repr=False, compare=False, hash=False, default=None
     )
     # compiled CSP forms of each relation over this domain, by equality
-    # pattern; filled by homs.hom_csp and constructions.is_pp_definable
+    # pattern; filled by homs.hom_csp and the CSPs of constructions
     _csp_forms: dict[str, dict] = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )

@@ -25,6 +25,7 @@ from clonekit.clones import (
     H1IdentitySystem,
     FlatTerm,
     cyclic_system,
+    minor_cells,
     operation_from_dict,
     operation_to_dict,
     seminaive_pools,
@@ -306,6 +307,89 @@ def test_seminaive_pools_cover_each_frontier_combination(monkeypatch):
 
 def test_operation_serialization_roundtrip():
     assert operation_from_dict(operation_to_dict(MINORITY)) == MINORITY
+
+
+def test_minor_cells_match_pointwise_application():
+    # cell c of f(x_sigma[0], ..., x_sigma[n-1]) as an m-ary table is f
+    # applied to the valuation with code c, first variable most significant
+    import random
+    rng = random.Random(17)
+    shapes = set()
+    for _ in range(400):
+        d, n, m = rng.randint(1, 3), rng.randint(0, 3), rng.randint(0, 3)
+        if n and not m:
+            continue
+        sigma = tuple(rng.randrange(m) for _ in range(n))
+        f = OperationTable(d, n, tuple(rng.randrange(d) for _ in range(d**n)))
+        cells = minor_cells(d, sigma, m)
+        assert [f.table[c] for c in cells] == \
+            [f.apply(*(x[s] for s in sigma)) for x in itertools.product(range(d), repeat=m)]
+        shapes.add((len(set(sigma)) < n, len(set(sigma)) < m))
+    # repeated variables and unused ones, each with and without the other
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def pointwise_satisfies(assignment, system):
+    """Oracle: evaluate both sides of every equation at every valuation."""
+    d = None
+    for name, arity in system.symbols:
+        op = assignment[name]
+        if op.arity != arity or op.domain_size != (d or op.domain_size):
+            return False
+        d = op.domain_size
+    d = d or 1
+
+    def evaluate(side, val):
+        if side.symbol is None:
+            return val[side.args[0]]
+        idx = 0
+        for v in side.args:
+            idx = idx * d + val[v]
+        return assignment[side.symbol].table[idx]
+
+    for lhs, rhs in system.equations:
+        nvars = max(lhs.var_count(), rhs.var_count())
+        for val in itertools.product(range(d), repeat=nvars):
+            if evaluate(lhs, val) != evaluate(rhs, val):
+                return False
+    return True
+
+
+def test_satisfies_system_matches_pointwise_evaluation():
+    # random systems over symbols of arity 0..3, with bare-variable sides;
+    # tables are projections, constants or random, so both answers occur
+    import random
+    rng = random.Random(23)
+    answers = set()
+    for _ in range(600):
+        d = rng.randint(1, 3)
+        symbols = (("f", rng.randint(0, 3)), ("g", rng.randint(0, 3)))
+        equations = []
+        for _ in range(rng.randint(1, 2)):
+            nv = rng.randint(1, 3)
+            sides = []
+            for _ in range(2):
+                name, arity = rng.choice(symbols)
+                if rng.random() < 0.3:
+                    sides.append(FlatTerm(None, (rng.randrange(nv),)))
+                else:
+                    sides.append(FlatTerm(name, tuple(rng.randrange(nv) for _ in range(arity))))
+            equations.append(tuple(sides))
+        system = H1IdentitySystem(symbols, tuple(equations))
+        assignment = {}
+        for name, arity in symbols:
+            kind = rng.choice(("projection", "constant", "random"))
+            if kind == "projection" and arity:
+                assignment[name] = projection(d, arity, rng.randint(1, arity))
+            elif kind == "constant":
+                assignment[name] = OperationTable(d, arity, (rng.randrange(d),) * d**arity)
+            else:
+                assignment[name] = OperationTable(
+                    d, arity, tuple(rng.randrange(d) for _ in range(d**arity)))
+        got = satisfies_system(assignment, system)
+        assert got == pointwise_satisfies(assignment, system), (system, assignment)
+        answers.add(got)
+    assert answers == {True, False}
 
 
 def test_satisfies_system_rejects_bad_assignment():

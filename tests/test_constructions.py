@@ -75,21 +75,36 @@ def test_equality_atoms_and_unconstrained_variables(le_plain):
 
 def test_evaluate_matches_naive_enumeration_on_random_formulas(le_plain, k3):
     rng = random.Random(11)
-    structures = [le_plain, k3, hepp_A()]
-    for _ in range(60):
+    with_empty = RelStructure.make(3, {"e": [(0, 1), (1, 2), (2, 2)], "z": []}, {"z": 2})
+    structures = [le_plain, k3, hepp_A(), with_empty]
+    seen = set()
+    for _ in range(300):
         a = rng.choice(structures)
-        free = rng.randint(1, 2)
-        exist = rng.randint(0, 2)
+        free = rng.randint(0, 2)
+        exist = rng.randint(0, 3)
         n = free + exist
+        if not n:
+            continue
         atoms = []
         for _ in range(rng.randint(0, 3)):
             name, arity = rng.choice(a.signature.rel_names)
             atoms.append((name, tuple(rng.randrange(n) for _ in range(arity))))
-        eqs = []
-        if rng.random() < 0.4:
-            eqs.append((rng.randrange(n), rng.randrange(n)))
+        eqs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.choice((0, 0, 1, 2)))]
         phi = PPFormula(free, exist, tuple(atoms), tuple(eqs))
-        assert evaluate_pp(a, phi) == naive_evaluate(a, phi)
+        assert evaluate_pp(a, phi) == naive_evaluate(a, phi), phi
+        in_atoms = {v for _, args in atoms for v in args}
+        in_eqs = {v for eq in eqs for v in eq}
+        for v in range(free, n):
+            seen.add("only in an equality" if v in in_eqs - in_atoms else
+                     "nowhere" if v not in in_atoms | in_eqs else "in an atom")
+        seen.add(f"{free} free")
+        if any(name == "z" for name, _ in atoms):
+            seen.add("empty relation")
+    assert seen >= {"only in an equality", "nowhere", "in an atom", "0 free", "empty relation"}
+    # zero variables, and an empty relation under an existential
+    assert evaluate_pp(le_plain, PPFormula(0, 0, ())) == ((),)
+    assert evaluate_pp(with_empty, PPFormula(0, 1, (("z", (0, 0)),))) == ()
+    assert evaluate_pp(with_empty, PPFormula(1, 2, (), ((0, 1),))) == ((0,), (1,), (2,))
 
 
 def test_formula_text_syntax(le_plain):
@@ -449,16 +464,16 @@ def test_candidate_formulas_match_per_combination_evaluation():
 
 
 def test_candidate_formulas_evaluate_each_atom_once(monkeypatch):
-    # one call per pool atom: 4 ternary relations x 27 argument tuples,
+    # one mask per pool atom: 4 ternary relations x 27 argument tuples,
     # 4 unary x 3, and 3 equalities, not one per each of 7,627 combinations
     calls = []
-    evaluate = constructions.evaluate_pp
+    atom_mask = constructions._atom_mask
 
-    def counted(a, phi):
-        calls.append(phi)
-        return evaluate(a, phi)
+    def counted(d, nv, args, tuples):
+        calls.append(args)
+        return atom_mask(d, nv, args, tuples)
 
-    monkeypatch.setattr(constructions, "evaluate_pp", counted)
+    monkeypatch.setattr(constructions, "_atom_mask", counted)
     candidates = constructions._candidate_formulas(hepp_A(), 3, PPSearchBounds(1, 0, 2))
     assert len(calls) == 4 * 27 + 4 * 3 + 3
     assert len(candidates) == 118

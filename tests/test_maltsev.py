@@ -68,6 +68,15 @@ def test_chain_validation():
     assert not verify_hm_chain(HMChain(2, (projection(2, 3, 1),)))
 
 
+def test_chain_over_mixed_domains_is_rejected():
+    # over {0,1} the minority and the third projection on {0,1,2} chain
+    # (p1(x,y,y) = x, p1(x,x,y) = y = p2(x,y,y), p2(x,x,y) = y), but they
+    # are not operations on one domain
+    from clonekit import projection
+    assert verify_hm_chain(HMChain(3, (MINORITY, projection(2, 3, 3))))
+    assert not verify_hm_chain(HMChain(3, (MINORITY, projection(3, 3, 3))))
+
+
 def test_hm_system_shape():
     sys3 = hagemann_mitschke_system(3)
     assert dict(sys3.symbols) == {"p1": 3, "p2": 3}
