@@ -24,6 +24,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain, repeat
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -32,6 +33,7 @@ from .structures import (
     CapacityError,
     RelStructure,
     column_cells,
+    selection_columns,
     shifted_codes,
 )
 
@@ -58,7 +60,7 @@ class OperationTable:
             raise ValueError("need domain_size >= 1 and arity >= 0")
         if len(self.table) != self.domain_size**self.arity:
             raise ValueError("table length does not match domain_size ** arity")
-        if any(not 0 <= v < self.domain_size for v in self.table):
+        if min(self.table) < 0 or max(self.table) >= self.domain_size:
             raise ValueError("table entry out of range")
 
     def apply(self, *args: int) -> int:
@@ -107,15 +109,19 @@ def compose(f: OperationTable, gs: Sequence[OperationTable]) -> OperationTable:
 
 
 def preserves(f: OperationTable, tuples: Iterable[Sequence[int]]) -> bool:
-    """True iff f applied componentwise to any selection of tuples stays inside."""
+    """True iff f applied componentwise to any selection of tuples stays inside.
+
+    The selections' cells come a block of columns at a time from
+    ``selection_columns``; f is read one column at a time, and the check
+    stops at the first result outside the tuples."""
     rel = [tuple(t) for t in tuples]
     if not rel:
         return True
     member = set(rel)
-    k = len(rel[0])
     look = f.table.__getitem__
-    return all(tuple(map(look, column_cells(f.domain_size, sel, k))) in member
-               for sel in itertools.product(rel, repeat=f.arity))
+    return all(t in member
+               for block in selection_columns(f.domain_size, rel, len(rel[0]), f.arity)
+               for t in zip(*[map(look, col) for col in block]))
 
 
 def is_polymorphism(f: OperationTable, a: RelStructure) -> bool:
@@ -126,11 +132,12 @@ def is_polymorphism(f: OperationTable, a: RelStructure) -> bool:
 
 def preservation_scopes(a: RelStructure, name: str, n: int) -> Iterator[tuple[int, ...]]:
     """The cell scopes of an ``n``-ary table that must take a tuple of the
-    relation ``name`` of ``a``: one per selection of ``n`` of its tuples.  A
-    table is a polymorphism of ``a`` iff it meets those of every relation."""
-    k = a.signature.arity(name)
-    return (column_cells(a.size, sel, k)
-            for sel in itertools.product(a.relations[name], repeat=n))
+    relation ``name`` of ``a``: one per selection of ``n`` of its tuples, in
+    ``itertools.product`` order, zipped from the blocks of
+    ``selection_columns``.  A table is a polymorphism of ``a`` iff it meets
+    those of every relation."""
+    blocks = selection_columns(a.size, a.relations[name], a.signature.arity(name), n)
+    return chain.from_iterable(zip(*block) for block in blocks)
 
 
 def polymorphisms(a: RelStructure, n: int,
@@ -466,9 +473,6 @@ class H1IdentitySystem:
         return dict(self.symbols)[name]
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
 def parse_identity_system(text: str) -> H1IdentitySystem:
     """Parse the identity DSL: ``t(a,r,e,a) = t(r,a,r,e); p(x,y,y) = x;``
 
@@ -523,7 +527,11 @@ def parse_identity_system(text: str) -> H1IdentitySystem:
 def satisfies_system(assignment: Mapping[str, OperationTable],
                      system: H1IdentitySystem) -> bool:
     """Check every equation by comparing its two sides as m-ary tables,
-    m the equation's variable count."""
+    m the equation's variable count.  A system without symbols has no
+    domain: each of its equations equates two bare variables, and holds iff
+    they are the same variable."""
+    if not system.symbols:
+        return all(lhs.args == rhs.args for lhs, rhs in system.equations)
     d = None
     for name, arity in system.symbols:
         op = assignment[name]
@@ -532,8 +540,6 @@ def satisfies_system(assignment: Mapping[str, OperationTable],
         d = op.domain_size if d is None else d
         if op.domain_size != d:
             return False
-    if d is None:
-        d = 1
 
     def table(side: FlatTerm, m: int) -> tuple[int, ...]:
         cells = minor_cells(d, side.args, m)
@@ -643,12 +649,19 @@ def find_operation_satisfying(a: RelStructure, system: H1IdentitySystem,
         if r in uf.value:
             csp.assign(i, uf.value[r])
 
-    # cells merged by the identities can give two symbols the same scope
-    for rel_name, _ in a.signature.rel_names:
-        scopes = {tuple(cell_var[offsets[name] + c] for c in scope): None
-                  for name, arity in system.symbols
-                  for scope in preservation_scopes(a, rel_name, arity)}
-        csp.add_constraint(scopes, a.relations[rel_name])
+    # per symbol, the CSP variable of each of its cells; a scope is a
+    # selection's cells read through it, a column at a time, and cells
+    # merged by the identities can give two symbols the same scope
+    var_of = {name: cell_var[offsets[name]:offsets[name] + d**arity].__getitem__
+              for name, arity in system.symbols}
+    for rel_name, k in a.signature.rel_names:
+        rows = a.relations[rel_name]
+        scopes = {}
+        for name, arity in system.symbols:
+            var = var_of[name]
+            for block in selection_columns(d, rows, k, arity):
+                scopes.update(zip(zip(*[map(var, col) for col in block]), repeat(None)))
+        csp.add_constraint(scopes, rows)
 
     outcome, sol = csp.solve(budget=budget)
     nodes = csp.nodes_explored

@@ -12,7 +12,9 @@ pin the generators to their own indices.
 For a generated clone, the closure kernel of ``clones`` computes both the
 carrier (``generate_to_arity``) and the lifted relations: there each
 generator acts on tuples of carrier indices through its Cayley table over
-the carrier, built once per free structure.
+the carrier, built once per free structure.  On a two-element domain the
+table is filled in numpy a row of results at a time, and each result is
+found among the carrier by its cells read as one byte string.
 """
 
 from __future__ import annotations
@@ -105,7 +107,9 @@ def _cayley(g: OperationTable, tables, index, budget: SearchBudget | None):
     """Cayley table of ``g`` over the carrier: ``rows[h][j]`` is the carrier
     index of g applied to the head arguments whose carrier indices, read as
     base-|F| digits, give h, and to carrier element j last.  Filled lazily
-    from a memo when its |F|^arity cells exceed ``clones._DENSE_CELLS``.
+    from a memo when its |F|^arity cells exceed ``clones._DENSE_CELLS``; on
+    a two-element domain a dense table is filled in numpy, a row at a time
+    (``_cayley_rows_numpy``).  A result outside the carrier raises KeyError.
     The budget's deadline is read once per row."""
     d, n, f, width = g.domain_size, g.arity, len(tables), len(tables[0])
     look = g.table.__getitem__
@@ -116,10 +120,49 @@ def _cayley(g: OperationTable, tables, index, budget: SearchBudget | None):
         codes = shifted_codes(d, [tables[i] for i in head], width)
         return lambda j: index[tuple(map(look, map(add, codes, tables[j])))]
 
-    if f**n <= clones._DENSE_CELLS:
-        return [list(map(cells(head), range(f)))
-                for head in itertools.product(range(f), repeat=n - 1)]
-    return _Memo(lambda h: _Memo(cells([h // f**p % f for p in range(n - 2, -1, -1)])))
+    if f**n > clones._DENSE_CELLS:
+        return _Memo(lambda h: _Memo(cells([h // f**p % f for p in range(n - 2, -1, -1)])))
+    if d == 2:
+        return _cayley_rows_numpy(g, tables, budget)
+    return [list(map(cells(head), range(f)))
+            for head in itertools.product(range(f), repeat=n - 1)]
+
+
+def _cayley_rows_numpy(g: OperationTable, tables, budget: SearchBudget | None) -> list:
+    """The dense Cayley table of a two-element ``g`` over the carrier
+    ``tables``, a row of |F| results at a time.  The carrier is an (|F|,
+    width) array of 0/1 bytes; a row's head code is the head arguments'
+    cells read as binary digits, doubled, so adding the carrier gives the
+    cells of g for every last argument at once.  A result or carrier table
+    is keyed by its own bytes as one fixed-width byte string, which compare
+    in table order at any width.  A result is found by ``searchsorted``
+    among the sorted carrier keys, and one whose key is not there raises
+    KeyError, as a dict lookup of its table would."""
+    import numpy as np
+
+    carrier = np.array(tables, dtype=np.uint8)
+    f, width = carrier.shape
+    key = f"S{width}"
+    carrier_keys = carrier.view(key).ravel()
+    order = np.argsort(carrier_keys, kind="stable")
+    sorted_keys = carrier_keys[order]
+    op = np.array(g.table, dtype=np.uint8)
+    out = []
+    for head in itertools.product(range(f), repeat=g.arity - 1):
+        if budget:
+            budget.check()
+        code = np.zeros(width, dtype=np.intp)
+        for i in head:
+            code += carrier[i]
+            code *= 2
+        results = op.take(code + carrier)
+        found = results.view(key).ravel()
+        pos = np.searchsorted(sorted_keys, found).clip(max=f - 1)
+        missing = np.flatnonzero(sorted_keys[pos] != found)
+        if missing.size:
+            raise KeyError(tuple(results[missing[0]].tolist()))
+        out.append(order[pos].tolist())
+    return out
 
 
 def free_structure(gen: CloneGenSet, b: RelStructure,

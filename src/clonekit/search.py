@@ -334,6 +334,7 @@ class Csp:
         nodes = 0
         static = order == "index"
         nvars = self.nvars
+        value_of = {1 << v: v for v in range(self.domain_size)}  # by singleton domain
 
         def pick_var(d: list[int]) -> int:
             if static:
@@ -363,7 +364,7 @@ class Csp:
                 var = pick_var(cur)
                 if var < 0:
                     self.nodes_explored = nodes
-                    yield tuple(m.bit_length() - 1 for m in cur)
+                    yield tuple(map(value_of.__getitem__, cur))
                 else:
                     stack.append((cur, var, cur[var]))
                 cur = None

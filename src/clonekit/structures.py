@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 # Powers above this many domain elements are refused rather than built;
 # callers should switch to implicit/product-aware search instead.
@@ -94,6 +94,28 @@ def column_cells(d: int, sel: Sequence[Sequence[int]], k: int) -> tuple[int, ...
         return (0,) * k
     *head, last = sel
     return tuple(map(add, shifted_codes(d, head, k), last))
+
+
+def selection_columns(d: int, rows: Sequence[Sequence[int]], k: int,
+                      n: int) -> Iterator[list[list[int]]]:
+    """``column_cells(d, sel, k)`` for every selection ``sel`` of ``n`` of
+    the ``k``-tuples ``rows``, in ``itertools.product`` order, by columns:
+    one block per leading row, in order, holding the k columns of cell
+    codes of the selections that start with that row (column j lists cell
+    j of each selection).  The codes of the other n - 1 rows are built
+    once, and each block adds its leading row's digits to them, so only one
+    block of |rows|**(n-1) selections is held at a time.  With n = 0 the one
+    block is that of the empty selection."""
+    if n == 0:
+        yield [[0] for _ in range(k)]
+        return
+    digits = [[t[j] for t in rows] for j in range(k)]
+    rest = [[0] for _ in range(k)]
+    for _ in range(n - 1):
+        rest = [[c * d + v for c in col for v in vals] for col, vals in zip(rest, digits)]
+    scale = d**(n - 1)
+    for t0 in rows:
+        yield [[base + c for c in col] for base, col in zip([v * scale for v in t0], rest)]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from clonekit import (
     Outcome,
     RelStructure,
     SearchBudget,
+    add_singletons,
     all_polymorphisms,
     compose,
     find_operation_satisfying,
@@ -22,14 +23,18 @@ from clonekit import (
 )
 import clonekit.clones
 from clonekit.clones import (
+    SIGGERS_SYSTEM,
     H1IdentitySystem,
     FlatTerm,
     cyclic_system,
     minor_cells,
     operation_from_dict,
     operation_to_dict,
+    preservation_scopes,
     seminaive_pools,
 )
+from clonekit.search import Csp
+from clonekit.structures import column_cells, selection_columns
 
 from conftest import DISEQ, LE, MINORITY, MIN2, MAX2
 
@@ -83,6 +88,128 @@ def test_preserves_examples(le_struct):
             assert preserves(projection(2, n, i), LE)
     assert preserves(MIN2, LE)
     assert not preserves(MIN2, DISEQ)
+
+
+def test_operation_table_rejects_entries_out_of_range():
+    for table in ((0, 2), (-1, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            OperationTable(2, 1, table)
+
+
+def random_rows(rng, d, k):
+    """One to four k-tuples over {0..d-1}, one-row relations included."""
+    return sorted({tuple(rng.randrange(d) for _ in range(k)) for _ in range(rng.randint(1, 4))})
+
+
+def test_selection_columns_match_column_cells_per_selection():
+    # the bulk primitive and the scopes built on it give, in order, the
+    # cells of every selection in itertools.product order
+    import random
+    rng = random.Random(41)
+    shapes = set()
+    for _ in range(300):
+        d, k, n = rng.randint(1, 4), rng.randint(1, 3), rng.randint(0, 4)
+        rows = random_rows(rng, d, k)
+        expected = [column_cells(d, sel, k) for sel in itertools.product(rows, repeat=n)]
+        blocks = list(selection_columns(d, rows, k, n))
+        assert len(blocks) == (len(rows) if n else 1)
+        assert [t for block in blocks for t in zip(*block)] == expected
+        a = RelStructure.make(d, {"r": rows}, {"r": k})
+        assert list(preservation_scopes(a, "r", n)) == expected
+        shapes.add((d, k, n, len(rows) == 1))
+    assert {(d, k, n) for d, k, n, _ in shapes} == set(itertools.product(
+        range(1, 5), range(1, 4), range(5)))
+    assert {one for *_, one in shapes} == {True, False}
+
+
+def pointwise_preserves(f, rows):
+    """Oracle: apply f to the columns of every selection of rows."""
+    member = set(rows)
+    return all(tuple(f.apply(*(t[j] for t in sel)) for j in range(len(rows[0]))) in member
+               for sel in itertools.product(rows, repeat=f.arity))
+
+
+def test_preserves_matches_pointwise_application():
+    # tables are projections, constants or random, so both answers occur
+    import random
+    rng = random.Random(43)
+    answers = set()
+    for _ in range(400):
+        d, k, n = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 3)
+        rows = random_rows(rng, d, k)
+        kind = rng.choice(("projection", "constant", "random"))
+        if kind == "projection" and n:
+            f = projection(d, n, rng.randint(1, n))
+        elif kind == "constant":
+            f = OperationTable(d, n, (rng.randrange(d),) * d**n)
+        else:
+            f = OperationTable(d, n, tuple(rng.randrange(d) for _ in range(d**n)))
+        got = preserves(f, rows)
+        assert got == pointwise_preserves(f, rows), (f, rows)
+        answers.add(got)
+    assert answers == {True, False}
+
+
+def cycle(n):
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    return RelStructure.make(n, {"edge": edges + [(b, a) for a, b in edges]})
+
+
+def old_siggers_scopes(a):
+    """Per relation, the scope keys of the Siggers CSP as a comprehension
+    over itertools.product and column_cells builds them, one per selection."""
+    n = 4
+    cells = a.size**n
+    uf = clonekit.clones._UnionFind(cells)
+    (lhs, rhs), = SIGGERS_SYSTEM.equations
+    m = max(lhs.var_count(), rhs.var_count())
+    for x, y in zip(minor_cells(a.size, lhs.args, m), minor_cells(a.size, rhs.args, m)):
+        uf.union(x, y)
+    roots = sorted({uf.find(x) for x in range(cells)})
+    var_of_root = {r: i for i, r in enumerate(roots)}
+    cell_var = [var_of_root[uf.find(x)] for x in range(cells)]
+    return [list({tuple(cell_var[c] for c in column_cells(a.size, sel, k)): None
+                  for sel in itertools.product(a.relations[name], repeat=n)})
+             for name, k in a.signature.rel_names]
+
+
+def test_siggers_csp_scopes_keep_their_order(monkeypatch):
+    # the scope order numbers nothing, but it is the order add_constraint
+    # compiles and propagates in, so node counts depend on it
+    import random
+    rng = random.Random(47)
+    k4 = RelStructure.make(4, {"edge": [(x, y) for x in range(4) for y in range(4) if x != y]})
+    boolean = [RelStructure.make(2, {f"r{i}": random_rows(rng, 2, rng.randint(1, 3))
+                                     for i in range(rng.randint(1, 3))})
+               for _ in range(6)]
+    add = Csp.add_constraint
+    calls = []
+
+    def recorded(self, scopes, allowed, compiled=None):
+        calls.append(list(scopes))
+        return add(self, calls[-1], allowed, compiled)
+
+    monkeypatch.setattr(Csp, "add_constraint", recorded)
+    for a in [cycle(5), cycle(7), add_singletons(k4)] + boolean:
+        calls.clear()
+        has_siggers(a)
+        assert calls == old_siggers_scopes(a)
+
+
+def test_preservation_scopes_hold_one_block_at_a_time():
+    # 14**4 selections of the 7-cycle's edges: one block of columns takes
+    # about 0.5 MiB at its peak, all blocks at once about 2.8 MiB
+    import tracemalloc
+
+    c7 = cycle(7)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in preservation_scopes(c7, "edge", 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 14**4
+    assert peak < 2**20
 
 
 def test_unary_polymorphisms_of_pointed_order(le_struct):
@@ -390,6 +517,16 @@ def test_satisfies_system_matches_pointwise_evaluation():
         assert got == pointwise_satisfies(assignment, system), (system, assignment)
         answers.add(got)
     assert answers == {True, False}
+
+
+def test_symbol_free_system_is_decided_without_a_domain():
+    # "x = y" fails on every domain of two or more elements, and the search
+    # refutes it there; with no symbol there is no domain to check it at
+    system = parse_identity_system("x = y;")
+    le = RelStructure.make(2, {"le": LE})
+    assert find_operation_satisfying(le, system).outcome is Outcome.REFUTED
+    assert not satisfies_system({}, system)
+    assert satisfies_system({}, parse_identity_system("x = x; y = y;"))
 
 
 def test_satisfies_system_rejects_bad_assignment():

@@ -26,8 +26,10 @@ from clonekit import (
     projection_test_structure,
     verify_coloring,
 )
-from clonekit.freestruct import Coloring, clone_members_to_arity, induced_operations
+from clonekit.freestruct import Coloring, _cayley, clone_members_to_arity, induced_operations
 from clonekit.clones import is_polymorphism
+
+from conftest import MIN2
 
 
 
@@ -438,6 +440,42 @@ def test_lattice_day_free_structure_stays_within_its_memory_bound(lattice_clone)
         tracemalloc.stop()
     assert [len(free.lifted[name]) for name, _ in day.signature.rel_names] == [7010, 7010, 3226]
     assert peak < 4.5 * 2**20
+
+
+def test_two_element_cayley_rows_match_the_python_fill(monkeypatch):
+    # the numpy fill against the per-cell Python fill of lazy tables, row by
+    # row: random generators over all tables of |B| = 2..4 arguments (a
+    # carrier closed under anything), and the carrier of min at |B| = 7,
+    # whose 128 cells overflow a base-2 int64 key
+    rng = random.Random(53)
+    cases = []
+    for nb, arities in ((2, (1, 2, 3)), (3, (1, 2)), (4, (1,))):
+        tables = list(itertools.product((0, 1), repeat=2**nb))
+        for n in arities:
+            cases.append((OperationTable(2, n, tuple(rng.randrange(2) for _ in range(2**n))),
+                          tables))
+    cases.append((MIN2, [op.table for op in generate_to_arity(CloneGenSet.of(2, [MIN2]), 7)]))
+    for g, tables in cases:
+        index = {t: i for i, t in enumerate(tables)}
+        rows = _cayley(g, tables, index, None)
+        with monkeypatch.context() as m:
+            m.setattr(clonekit.clones, "_DENSE_CELLS", 0)
+            lazy = _cayley(g, tables, index, None)
+        assert isinstance(rows, list) and len(rows) == len(tables)**(g.arity - 1)
+        for h, row in enumerate(rows):
+            assert row == [lazy[h][j] for j in range(len(tables))]
+        assert {type(v) for v in rows[-1]} == {int}
+    assert {len(tables[0]) for _, tables in cases} == {4, 8, 16, 128}
+
+
+def test_two_element_cayley_rejects_a_result_outside_the_carrier():
+    # the carrier of min at arity 2 is x, y and min(x, y); without min(x, y)
+    # it is not closed under min
+    tables = [op.table for op in generate_to_arity(CloneGenSet.of(2, [MIN2]), 2)]
+    assert tables[0] == (0, 0, 0, 1)
+    rest = tables[1:]
+    with pytest.raises(KeyError):
+        _cayley(MIN2, rest, {t: i for i, t in enumerate(rest)}, None)
 
 
 def test_h1_enumerates_each_polymorphism_arity_once(monkeypatch, k3s):

@@ -29,3 +29,52 @@ def test_unused_import_check_catches_one():
                                         if p.name != "__init__.py"))
 def test_no_unused_module_imports(path):
     assert unused_imports((SRC / path).read_text()) == []
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) for each module-level private name (a function,
+    class or assignment target starting with one underscore) that no
+    module of ``sources`` reads: as a name, an attribute or an import."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    orphaned = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name)]
+            else:
+                continue
+            orphaned += [(module, name) for name in names
+                         if name.startswith("_") and not name.startswith("__")
+                         and name not in read]
+    return orphaned
+
+
+def test_orphaned_private_name_check_catches_them():
+    sources = {
+        "a": ("import re\n_WORD_RE = re.compile('w')\n_KEPT = 1\n"
+              "def _orphan():\n    return _KEPT\n"
+              "class _Orphan:\n    pass\n"
+              "def _by_attribute():\n    pass\n"
+              "def _imported():\n    pass\n"),
+        "b": "from . import a\nfrom .a import _imported\nx = a._by_attribute\n",
+    }
+    assert orphaned_private_names(sources) == [("a", "_WORD_RE"), ("a", "_orphan"),
+                                               ("a", "_Orphan")]
+
+
+def test_no_orphaned_private_names():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert orphaned_private_names(sources) == []
