@@ -24,7 +24,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -607,7 +607,8 @@ def find_operation_satisfying(a: RelStructure, system: H1IdentitySystem,
     Identities are compiled to equalities between table cells (plus value
     pins for bare-variable sides); the cells are then the CSP variables,
     constrained to preserve every relation of ``a``.  A FOUND assignment is
-    re-verified independently of the search before being returned.
+    re-verified independently of the search before being returned; a system
+    without symbols has no table, and the cell equalities alone decide it.
     """
     d = a.size
     offsets = {}
@@ -639,6 +640,10 @@ def find_operation_satisfying(a: RelStructure, system: H1IdentitySystem,
                 uf.union(offsets[lhs.symbol] + x, offsets[rhs.symbol] + y)
         if not uf.consistent:
             return OpSearchResult(Outcome.REFUTED)
+    if not system.symbols:
+        # no table to search or re-check: every equation equates two bare
+        # variables, and all of them held at domain size d above
+        return OpSearchResult(Outcome.FOUND, {})
 
     roots = sorted({uf.find(x) for x in range(total)})
     var_of_root = {r: i for i, r in enumerate(roots)}
@@ -656,12 +661,11 @@ def find_operation_satisfying(a: RelStructure, system: H1IdentitySystem,
               for name, arity in system.symbols}
     for rel_name, k in a.signature.rel_names:
         rows = a.relations[rel_name]
-        scopes = {}
-        for name, arity in system.symbols:
-            var = var_of[name]
-            for block in selection_columns(d, rows, k, arity):
-                scopes.update(zip(zip(*[map(var, col) for col in block]), repeat(None)))
-        csp.add_constraint(scopes, rows)
+        # the kernel compiles the scopes, and their dict is dropped at once
+        csp.add_constraint(dict.fromkeys(chain.from_iterable(
+            zip(*[map(var_of[name], col) for col in block])
+            for name, arity in system.symbols
+            for block in selection_columns(d, rows, k, arity))), rows)
 
     outcome, sol = csp.solve(budget=budget)
     nodes = csp.nodes_explored

@@ -434,7 +434,7 @@ def power_structure(a: RelStructure, n: int) -> RelStructure:
     if dom > DEFAULT_POWER_CAP:
         raise CapacityError(
             f"power domain {a.size}^{n} = {dom} exceeds cap {DEFAULT_POWER_CAP}")
-    rels = {name: [column_cells(a.size, sel, arity)
-                   for sel in itertools.product(a.relations[name], repeat=n)]
+    rels = {name: [t for block in selection_columns(a.size, a.relations[name], arity, n)
+                   for t in zip(*block)]
             for name, arity in a.signature.rel_names}
     return RelStructure(dom, a.signature, rels)

@@ -212,6 +212,22 @@ def test_preservation_scopes_hold_one_block_at_a_time():
     assert peak < 2**20
 
 
+def test_siggers_search_drops_its_scopes_once_compiled():
+    # the 7-cycle's Siggers search peaks at about 10.1 MiB; keeping the
+    # dict of its 14**4 scopes through the search takes it to about 11.4
+    import tracemalloc
+
+    c7 = cycle(7)
+    tracemalloc.start()
+    try:
+        res = has_siggers(c7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.outcome is Outcome.REFUTED
+    assert peak < 10.8 * 2**20
+
+
 def test_unary_polymorphisms_of_pointed_order(le_struct):
     assert [p.table for p in all_polymorphisms(le_struct, 1)] == [(0, 1)]
 
@@ -521,10 +537,15 @@ def test_satisfies_system_matches_pointwise_evaluation():
 
 def test_symbol_free_system_is_decided_without_a_domain():
     # "x = y" fails on every domain of two or more elements, and the search
-    # refutes it there; with no symbol there is no domain to check it at
+    # refutes it there; on one element it holds, and the search finds the
+    # empty assignment; with no symbol satisfies_system has no domain to
+    # check it at
     system = parse_identity_system("x = y;")
     le = RelStructure.make(2, {"le": LE})
     assert find_operation_satisfying(le, system).outcome is Outcome.REFUTED
+    point = RelStructure.make(1, {"le": [(0, 0)]})
+    res = find_operation_satisfying(point, system)
+    assert res.outcome is Outcome.FOUND and res.assignment == {}
     assert not satisfies_system({}, system)
     assert satisfies_system({}, parse_identity_system("x = x; y = y;"))
 
