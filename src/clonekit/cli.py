@@ -34,10 +34,13 @@ from .constructions import (
 )
 from .freestruct import (
     ColoringResult,
+    H1Result,
+    clone_members_to_arity,
     free_structure,
     find_coloring,
     h1_homomorphism_exists,
     h1_to_projections,
+    induced_operations,
 )
 from .homs import SignatureMismatchError, core_of, find_homomorphism, hom_equivalent
 from .maltsev import (
@@ -452,9 +455,14 @@ def h1(structure_file, target_path, **common):
     def body(budget):
         res = h1_homomorphism_exists(a, b, budget)
         if res.found:
+            try:  # the operation induced by each member of arity 1..3, listed
+                induced = induced_operations(res.free, res.coloring,
+                                             clone_members_to_arity(a, 3, budget), budget)
+            except BudgetExceededError:
+                return _searched(H1Result(Outcome.BUDGET))
             certs = {"free": free_to_dict(res.free),
                      "coloring": coloring_to_dict(res.coloring),
-                     "induced": [operation_to_dict(op) for op in res.induced]}
+                     "induced": [operation_to_dict(op) for op in induced]}
             return _searched(res, "exists", certs, "h1 clone homomorphism "
                              f"exists; coloring {list(res.coloring.map)}")
         if res.outcome is Outcome.REFUTED:

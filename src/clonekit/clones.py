@@ -140,29 +140,45 @@ def preservation_scopes(a: RelStructure, name: str, n: int) -> Iterator[tuple[in
     return chain.from_iterable(zip(*block) for block in blocks)
 
 
+def _polymorphism_csp(a: RelStructure, n: int) -> Csp:
+    """Hom(A^n, A) as a table-cell CSP: the power is never materialized,
+    its constraints are."""
+    cells = a.size**n
+    if cells > DEFAULT_TABLE_CAP:
+        raise CapacityError(f"table with {cells} cells exceeds cap {DEFAULT_TABLE_CAP}")
+    csp = Csp(cells, a.size)
+    for name, _ in a.signature.rel_names:
+        csp.add_constraint(preservation_scopes(a, name, n), a.relations[name])
+    return csp
+
+
 def polymorphisms(a: RelStructure, n: int,
                   budget: SearchBudget | None = None) -> Iterator[OperationTable]:
     """Stream all n-ary polymorphisms of ``a`` in lexicographic table order.
 
     Equivalent to enumerating homomorphisms from the n-th power of ``a``
-    into ``a``; the power is never materialized, its constraints are.
-    Exhaustive when consumed to completion; raises BudgetExceededError if
-    the budget runs out mid-stream.
+    into ``a``.  Exhaustive when consumed to completion; raises
+    BudgetExceededError if the budget runs out mid-stream.
     """
-    d = a.size
-    cells = d**n
-    if cells > DEFAULT_TABLE_CAP:
-        raise CapacityError(f"table with {cells} cells exceeds cap {DEFAULT_TABLE_CAP}")
-    csp = Csp(cells, d)
-    for name, _ in a.signature.rel_names:
-        csp.add_constraint(preservation_scopes(a, name, n), a.relations[name])
-    for sol in csp.solutions(budget=budget, order="index"):
-        yield OperationTable(d, n, sol)
+    for sol in _polymorphism_csp(a, n).solutions(budget=budget, order="index"):
+        yield OperationTable(a.size, n, sol)
 
 
 def all_polymorphisms(a: RelStructure, n: int,
                       budget: SearchBudget | None = None) -> list[OperationTable]:
     return list(polymorphisms(a, n, budget))
+
+
+def polymorphism_restrictions(a: RelStructure, n: int, cells: Sequence[int],
+                              budget: SearchBudget | None = None) -> Iterator[tuple[int, ...]]:
+    """Stream each distinct restriction of an n-ary polymorphism of ``a``
+    to the table cells ``cells`` once, as the tuple of its values there, in
+    lexicographic order; over every cell in order these are the tables of
+    ``polymorphisms``.  The search branches only on ``cells`` and looks for
+    one extension of each of their assignments.  Raises
+    BudgetExceededError if the budget runs out mid-stream.
+    """
+    yield from _polymorphism_csp(a, n).solutions(budget=budget, project=cells)
 
 
 # ---------------------------------------------------------------------------

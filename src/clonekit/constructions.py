@@ -77,9 +77,10 @@ class PPFormula:
 
 
 def evaluate_pp(a: RelStructure, phi: PPFormula) -> tuple[tuple[int, ...], ...]:
-    """The exact satisfaction set of phi over ``a`` (free-variable tuples):
-    the free prefixes of the solutions of phi as a CSP over all of its
-    variables, an existential that no atom mentions pinned to 0."""
+    """The exact satisfaction set of phi over ``a`` (free-variable tuples),
+    sorted: the solutions of phi as a CSP over all of its variables,
+    projected on the free ones, an existential that no atom mentions pinned
+    to 0."""
     phi.check_against(a.signature)
     n = phi.free_vars + phi.exist_vars
     csp = Csp(n, a.size)
@@ -91,7 +92,7 @@ def evaluate_pp(a: RelStructure, phi: PPFormula) -> tuple[tuple[int, ...], ...]:
     for v in range(phi.free_vars, n):
         if v not in mentioned:
             csp.assign(v, 0)
-    return tuple(sorted({sol[:phi.free_vars] for sol in csp.solutions(order="index")}))
+    return tuple(csp.solutions(project=range(phi.free_vars)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,13 @@ from the lifted structure back to B, so coloring search reuses the
 homomorphism engine with the lifted structure as source; strong colorings
 pin the generators to their own indices.
 
+For a clone given as Pol(A), a lifted relation is the image of Pol_m(A)
+under minoring, so it depends only on the table cells that the minors
+read; so do the induced operations that an h1 homomorphism is checked
+through.  Each is read from the distinct restrictions of Pol_m(A) to those
+cells, which the CSP kernel enumerates by projection, each (arity, cells)
+pair searched once per decision.  Only the carrier is all of Pol_|B|(A).
+
 For a generated clone, the closure kernel of ``clones`` computes both the
 carrier (``generate_to_arity``) and the lifted relations: there each
 generator acts on tuples of carrier indices through its Cayley table over
@@ -37,6 +44,7 @@ from .clones import (
     has_siggers,
     is_polymorphism,
     minor_cells,
+    polymorphism_restrictions,
     projection,
 )
 from .homs import find_homomorphism
@@ -185,32 +193,43 @@ def free_structure(gen: CloneGenSet, b: RelStructure,
     return FreeStructure(d, b, carrier, gen_index, lifted, "generators")
 
 
-def _polymorphisms_by_arity(a: RelStructure,
-                            budget: SearchBudget | None) -> dict[int, list[OperationTable]]:
-    """Arity n -> all_polymorphisms(a, n), each enumerated on first use."""
-    return _Memo(lambda n: all_polymorphisms(a, n, budget))
+def _restrictions_by_cells(a: RelStructure, budget: SearchBudget | None) -> dict:
+    """(arity n, cells) -> the distinct restrictions of Pol_n(a) to those
+    cells, sorted (``polymorphism_restrictions``), each searched on first
+    use."""
+    return _Memo(lambda key: list(polymorphism_restrictions(a, *key, budget)))
+
+
+def _cells_read(minors: list[tuple[int, ...]]) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The sorted union of the cells that ``minors`` read and, per minor,
+    the positions of its cells in that union."""
+    cells = tuple(sorted(set().union(*minors)))
+    at = {c: i for i, c in enumerate(cells)}
+    return cells, [tuple(map(at.__getitem__, m)) for m in minors]
 
 
 def free_structure_over_polymorphisms(a: RelStructure, b: RelStructure,
                                       budget: SearchBudget | None = None,
-                                      polys: dict | None = None) -> FreeStructure:
+                                      restrictions: dict | None = None) -> FreeStructure:
     """Free structure of Pol(a) over b.
 
     The carrier is every |B|-ary polymorphism.  A lifted relation with m
     tuples is the image of Pol_m(a) under per-column minoring, since the
     closure of the generator tuples under a composition-closed clone is
-    reached in one application.  ``polys``, from
-    ``_polymorphisms_by_arity(a, ...)``, shares the enumerations of Pol(a)
-    with the caller; it changes no result.
+    reached in one application.  It depends only on the cells the minors
+    read, so it is read from the distinct restrictions of Pol_m(a) to the
+    union of those cells, one lifted tuple each.  ``restrictions``, from
+    ``_restrictions_by_cells(a, ...)``, shares those searches with the
+    caller; it changes no result.
     """
     d = a.size
     nb = b.size
     if d**nb > DEFAULT_TABLE_CAP:
         raise CapacityError(
             f"carrier elements need {d**nb} cells, over cap {DEFAULT_TABLE_CAP}")
-    if polys is None:
-        polys = _polymorphisms_by_arity(a, budget)
-    carrier = tuple(polys[nb])
+    if restrictions is None:
+        restrictions = _restrictions_by_cells(a, budget)
+    carrier = tuple(OperationTable(d, nb, t) for t in restrictions[nb, tuple(range(d**nb))])
     index = {op.table: i for i, op in enumerate(carrier)}
     gen_index = tuple(index[minor_cells(d, (v,), nb)] for v in range(nb))
     lifted = {}
@@ -224,13 +243,14 @@ def free_structure_over_polymorphisms(a: RelStructure, b: RelStructure,
             raise CapacityError(f"lifting {name!r} needs arity-{m} polymorphisms, "
                                 f"over cap {DEFAULT_TABLE_CAP}")
         # per column j, the cells of the nb-ary minor f(x_{row[j]} for row in rows)
-        minors = [minor_cells(d, [row[j] for row in rows], nb) for j in range(k)]
-        out = set()
-        for i, f in enumerate(polys[m]):
+        cells, minors = _cells_read([minor_cells(d, [row[j] for row in rows], nb)
+                                     for j in range(k)])
+        out = []
+        for i, r in enumerate(restrictions[m, cells]):
             if budget and i % _CLOCK_EVERY == 0:
                 budget.check()
-            look = f.table.__getitem__
-            out.add(tuple(index[tuple(map(look, cells))] for cells in minors))
+            look = r.__getitem__
+            out.append(tuple(index[tuple(map(look, pos))] for pos in minors))
         lifted[name] = tuple(sorted(out))
     return FreeStructure(d, b, carrier, gen_index, lifted, "polymorphisms")
 
@@ -272,6 +292,12 @@ def clone_members_to_arity(gen_or_structure, max_arity: int,
     return out
 
 
+def _argument_minors(d: int, n: int, nb: int) -> list[tuple[int, ...]]:
+    """Per argument map (b1..bn) in B^n, the cells of the minor f(x_b1..x_bn)
+    of an n-ary table over a d-element domain."""
+    return [minor_cells(d, bs, nb) for bs in itertools.product(range(nb), repeat=n)]
+
+
 def induced_operations(free: FreeStructure, coloring: Coloring, members: list[OperationTable],
                        budget: SearchBudget | None = None) -> list[OperationTable]:
     """The operations on B induced by a coloring: f'(b1..bn) = c(f(pi_b1..pi_bn)).
@@ -279,12 +305,9 @@ def induced_operations(free: FreeStructure, coloring: Coloring, members: list[Op
     This is the constructive content of the coloring-to-h1-homomorphism
     direction; each induced operation should be a polymorphism of B.
     """
-    d = free.domain_size
     nb = free.b.size
     index = free.carrier_index()
-    # arity n -> per argument map (b1..bn), the cells of the minor f(x_b1..x_bn)
-    minors = _Memo(lambda n: [minor_cells(d, bs, nb)
-                              for bs in itertools.product(range(nb), repeat=n)])
+    minors = _Memo(lambda n: _argument_minors(free.domain_size, n, nb))
     out = []
     for i, f in enumerate(members):
         if budget and i % _CLOCK_EVERY == 0:
@@ -298,12 +321,28 @@ def induced_operations(free: FreeStructure, coloring: Coloring, members: list[Op
     return out
 
 
+def _induced_by_restrictions(free: FreeStructure, coloring: Coloring,
+                             restrictions: dict, budget: SearchBudget | None):
+    """The tables ``induced_operations`` gives the members of arity 1..3 of
+    Pol(a), one per distinct restriction of Pol_n(a) to the cells that the
+    minors of its induced tables read; every induced table is among them."""
+    nb = free.b.size
+    index = free.carrier_index()
+    for n in range(1, 4):
+        cells, minors = _cells_read(_argument_minors(free.domain_size, n, nb))
+        for i, r in enumerate(restrictions[n, cells]):
+            if budget and i % _CLOCK_EVERY == 0:
+                budget.check()
+            look = r.__getitem__
+            yield OperationTable(nb, n, tuple(coloring.map[index[tuple(map(look, pos))]]
+                                              for pos in minors))
+
+
 @dataclass(frozen=True)
 class H1Result:
     outcome: Outcome
     free: FreeStructure | None = None
     coloring: Coloring | None = None
-    induced: tuple[OperationTable, ...] = ()
     nodes: int = 0
 
     @property
@@ -315,29 +354,29 @@ def h1_homomorphism_exists(a: RelStructure, b: RelStructure,
                            budget: SearchBudget | None = None) -> H1Result:
     """Does an h1 clone homomorphism Pol(a) -> Pol(b) exist?
 
-    Decided as: Pol(a) is b-colorable.  On success the induced image
-    operations up to arity 3 are materialized and re-verified to be
-    polymorphisms of b, each distinct table once.  Each arity of Pol(a) is
-    enumerated once.  The budget's deadline bounds the whole decision, and
-    a budget that runs out anywhere in it returns BUDGET.
+    Decided as: Pol(a) is b-colorable.  On success every operation induced
+    from a member of arity 1..3 is re-verified to be a polymorphism of b,
+    each distinct table once, read from restrictions of Pol_n(a); the list
+    per member is left to ``induced_operations``.  Each (arity, cells)
+    restriction that the lifting and the check read is searched once.  The
+    budget's deadline bounds the whole decision, and a budget that runs out
+    anywhere in it returns BUDGET.
     """
-    polys = _polymorphisms_by_arity(a, budget)
+    restrictions = _restrictions_by_cells(a, budget)
     try:
-        free = free_structure_over_polymorphisms(a, b, budget, polys)
+        free = free_structure_over_polymorphisms(a, b, budget, restrictions)
         res = find_coloring(free, strong=False, budget=budget)
         if res.outcome is not Outcome.FOUND:
             return H1Result(res.outcome, free, nodes=res.nodes)
-        # clone_members_to_arity(a, ...), from the enumerations made above
-        members = [op for n in range(1, 4) for op in polys[n]]
-        induced = tuple(induced_operations(free, res.coloring, members, budget))
-        for i, op in enumerate(set(induced)):
+        induced = set(_induced_by_restrictions(free, res.coloring, restrictions, budget))
+        for i, op in enumerate(induced):
             if budget and i % _CLOCK_EVERY == 0:
                 budget.check()
             if not is_polymorphism(op, b):
                 raise CrossCheckError("induced operation is not a polymorphism")
     except BudgetExceededError:
         return H1Result(Outcome.BUDGET)
-    return H1Result(Outcome.FOUND, free, res.coloring, induced, res.nodes)
+    return H1Result(Outcome.FOUND, free, res.coloring, res.nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,12 @@ its values to the other end, so when its domain changes one support mask
 per group narrows every far end of the group.  Wider scopes are revised by
 scanning their allowed tuples, each only once the binary constraints have
 reached their fixpoint.  Search is depth-first with propagation at every
-node, ascending value order, and either smallest-domain-first or static
-index variable order (the latter makes solution enumeration
-lexicographic).
+node and ascending value order.  It enumerates every solution in
+smallest-domain-first variable order, or only the distinct assignments of
+chosen variables that extend to a solution: it branches on those in the
+given order and, below each full assignment of them, searches
+smallest-domain-first for one extension.  Projected on every variable this
+is static index order, whose enumeration is lexicographic.
 """
 
 from __future__ import annotations
@@ -97,6 +100,8 @@ class Csp:
     constraints have reached their fixpoint, an order in the spirit of
     Wallace and Freuder (*Ordering heuristics for arc consistency
     algorithms*, 1992).  The fixpoint is the same GAC fixpoint in any order.
+    Search can project on chosen variables: it branches on them alone and
+    asks the rest only for one extension of each of their assignments.
     """
 
     def __init__(self, nvars: int, domain_size: int):
@@ -315,12 +320,19 @@ class Csp:
         it.close()
         return Outcome.FOUND, sol
 
-    def solutions(self, budget: SearchBudget | None = None,
-                  order: str = "mindom") -> Iterator[tuple[int, ...]]:
+    def solutions(self, budget: SearchBudget | None = None, order: str = "mindom",
+                  project: Sequence[int] | None = None) -> Iterator[tuple[int, ...]]:
         """Yield all solutions; lexicographic when order='index'.
 
-        Raises BudgetExceededError when the node limit runs out or the
-        deadline has passed, checked at the root and every 64 nodes.
+        With ``project``, yield instead each distinct assignment of those
+        variables that extends to a solution, once, as a tuple in the order
+        given, lexicographically; ``order`` is then not read.  The search
+        branches on the variables of ``project`` in that order, values
+        ascending, and below each full assignment of them runs one
+        smallest-domain-first search for an extension, stopped at the first
+        one.  order='index' is the projection on every variable.  Raises
+        BudgetExceededError when the node limit runs out or the deadline
+        has passed, checked at the root and every 64 nodes of either phase.
         """
         budget = budget or DEFAULT_BUDGET
         self.nodes_explored = 0
@@ -332,17 +344,20 @@ class Csp:
             return
         node_limit = budget.node_limit
         nodes = 0
-        static = order == "index"
         nvars = self.nvars
+        shown = project
+        if project is None and order == "index":
+            project = range(nvars)
         value_of = {1 << v: v for v in range(self.domain_size)}  # by singleton domain
 
-        def pick_var(d: list[int]) -> int:
-            if static:
-                for v in range(nvars):
-                    m = d[v]
-                    if m & (m - 1):
-                        return v
-                return -1
+        def first_open(d: list[int]) -> int:
+            for v in project:
+                m = d[v]
+                if m & (m - 1):
+                    return v
+            return -1
+
+        def smallest_open(d: list[int]) -> int:
             best = -1
             best_count = 1 << 62
             for v in range(nvars):
@@ -356,15 +371,28 @@ class Csp:
             return best
 
         # Explicit DFS stack: (domain snapshot, branch var, untried value bits).
+        # The frames from ``rest`` up search for an extension of a full
+        # assignment of ``project``; None while the search is on ``project``.
         stack: list[tuple[list[int], int, int]] = []
+        rest: int | None = None
         cur: list[int] | None = dom
         del dom
         while True:
             if cur is not None:
-                var = pick_var(cur)
+                var = -1
+                if project is not None and rest is None:
+                    var = first_open(cur)
+                    if var < 0:
+                        rest = len(stack)
+                if var < 0:
+                    var = smallest_open(cur)
                 if var < 0:
                     self.nodes_explored = nodes
-                    yield tuple(map(value_of.__getitem__, cur))
+                    yield tuple(map(value_of.__getitem__,
+                                    cur if shown is None else map(cur.__getitem__, shown)))
+                    if rest is not None:
+                        del stack[rest:]
+                        rest = None
                 else:
                     stack.append((cur, var, cur[var]))
                 cur = None
@@ -374,6 +402,8 @@ class Csp:
             base, var, pending = stack[-1]
             if not pending:
                 stack.pop()
+                if len(stack) == rest:
+                    rest = None
                 continue
             low = pending & -pending
             stack[-1] = (base, var, pending ^ low)

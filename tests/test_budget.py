@@ -23,7 +23,8 @@ from clonekit.constructions import PPSearchBounds, bounded_pp_search, is_pp_defi
 from clonekit.freestruct import (
     Coloring,
     _cayley,
-    _polymorphisms_by_arity,
+    _restrictions_by_cells,
+    clone_members_to_arity,
     free_structure,
     free_structure_over_polymorphisms,
     h1_homomorphism_exists,
@@ -33,7 +34,7 @@ from clonekit.freestruct import (
 )
 from clonekit.homs import core_of, hom_equivalent
 from clonekit.maltsev import boolean_order, is_congruence_modular, is_n_permutable_somewhere
-from clonekit.search import BudgetExceededError
+from clonekit.search import BudgetExceededError, Csp
 from clonekit.structures import serialize_structure
 
 from conftest import LE, MAX2, MIN2
@@ -120,29 +121,28 @@ def test_h1_returns_budget_when_the_enumeration_runs_out(rxor_struct):
 
 def _lifting_inputs():
     b = projection_test_structure()
-    polys = _polymorphisms_by_arity(LE_S, None)
-    for n in (1, 2, 3):
-        polys[n]  # enumerated now, without a budget
-    return b, polys
+    restrictions = _restrictions_by_cells(LE_S, None)
+    # every restriction the lifting reads, searched now, without a budget
+    free = free_structure_over_polymorphisms(LE_S, b, None, restrictions)
+    return b, restrictions, free
 
 
 def test_lifting_loop_stops_at_the_deadline(clock):
-    b, polys = _lifting_inputs()
+    b, restrictions, _ = _lifting_inputs()
     budget = SearchBudget(time_limit_ms=500)  # the next read is past it
     with pytest.raises(BudgetExceededError):
-        free_structure_over_polymorphisms(LE_S, b, budget, polys)
+        free_structure_over_polymorphisms(LE_S, b, budget, restrictions)
     assert clock.now == 2
     clock.now = 0
-    free_structure_over_polymorphisms(LE_S, b, SearchBudget(time_limit_ms=1e12), polys)
-    # one read per lifted relation with tuples, each under 4096 members
+    free_structure_over_polymorphisms(LE_S, b, SearchBudget(time_limit_ms=1e12), restrictions)
+    # one read per lifted relation with tuples, each under 4096 restrictions
     assert clock.now == 1 + sum(1 for name in b.signature.names() if b.relations[name])
 
 
 def test_induced_operations_stop_at_the_deadline(clock):
-    b, polys = _lifting_inputs()
-    free = free_structure_over_polymorphisms(LE_S, b, None, polys)
+    _, _, free = _lifting_inputs()
     coloring = Coloring(tuple(0 for _ in free.carrier), False)
-    members = [op for n in (1, 2, 3) for op in polys[n]]
+    members = clone_members_to_arity(LE_S, 3)
     with pytest.raises(BudgetExceededError):
         induced_operations(free, coloring, members, SearchBudget(time_limit_ms=500))
     assert clock.now == 2
@@ -225,3 +225,32 @@ def test_cli_stops_in_the_closure(clock, tmp_path, argv, verdict):
     report = json.loads(out.read_text())
     assert (report["verdict"], report["timings"]["nodes"]) == (verdict, 0)
     assert clock.now == 3
+
+
+def _pigeons_behind_a_free_variable() -> Csp:
+    """Variable 0 takes 0 or 1 and is free; variables 1..7 take 6 values,
+    pairwise distinct.  Arc consistency never sees that 7 pigeons do not
+    fit in 6 holes, so every extension search runs long and fails."""
+    csp = Csp(8, 6)
+    csp.restrict(0, (0, 1))
+    csp.add_constraint(itertools.combinations(range(1, 8), 2),
+                       [(a, b) for a in range(6) for b in range(6) if a != b])
+    return csp
+
+
+def test_projected_search_stops_in_the_extension_search():
+    # the projection on variable 0 makes at most 2 nodes; the rest are the
+    # extension search's, which the node limit stops on its 101st node
+    csp = _pigeons_behind_a_free_variable()
+    with pytest.raises(BudgetExceededError):
+        next(csp.solutions(SearchBudget(node_limit=100), project=[0]))
+    assert csp.nodes_explored == 101
+
+
+def test_projected_search_reads_the_deadline_in_the_extension_search(clock):
+    # the deadline falls between the root's read and the read at node 64,
+    # made by the extension search below variable 0's first value
+    csp = _pigeons_behind_a_free_variable()
+    with pytest.raises(BudgetExceededError):
+        next(csp.solutions(SearchBudget(time_limit_ms=1500), project=[0]))
+    assert (csp.nodes_explored, clock.now) == (64, 3)

@@ -1,10 +1,12 @@
 import itertools
+import json
 import os
 import random
 import subprocess
 import sys
 
 import pytest
+from click.testing import CliRunner
 
 import clonekit
 import clonekit.freestruct
@@ -13,9 +15,12 @@ from clonekit import (
     CloneGenSet,
     OperationTable,
     Outcome,
+    BudgetExceededError,
     RelStructure,
+    SearchBudget,
     all_polymorphisms,
     compose,
+    core_of,
     find_coloring,
     free_structure,
     free_structure_over_polymorphisms,
@@ -26,8 +31,10 @@ from clonekit import (
     projection_test_structure,
     verify_coloring,
 )
+from clonekit.cli import main
+from clonekit.clones import is_polymorphism, minor_cells, operation_to_dict
 from clonekit.freestruct import Coloring, _cayley, clone_members_to_arity, induced_operations
-from clonekit.clones import is_polymorphism
+from clonekit.structures import serialize_structure
 
 from conftest import MIN2
 
@@ -209,7 +216,7 @@ def test_h1_rigid_triangle_to_projection_test(k3s):
     t = projection_test_structure()
     res = h1_homomorphism_exists(k3s, t)
     assert res.found
-    for op in res.induced:
+    for op in induced_operations(res.free, res.coloring, clone_members_to_arity(k3s, 3)):
         assert is_polymorphism(op, t)
 
 
@@ -478,31 +485,114 @@ def test_two_element_cayley_rejects_a_result_outside_the_carrier():
         _cayley(MIN2, rest, {t: i for i, t in enumerate(rest)}, None)
 
 
-def test_h1_enumerates_each_polymorphism_arity_once(monkeypatch, k3s):
-    # the projection-test structure needs Pol_2 (carrier), Pol_3 and Pol_1
-    # (lifting) and Pol_1..Pol_3 (induced operations)
+def test_h1_enumerates_each_polymorphism_arity_once(monkeypatch, tmp_path, k3s):
+    # over the two-element projection-test structure the carrier reads all
+    # of Pol_2, the singletons all of Pol_1, and 1-in-3 the cells of Pol_3
+    # with at most two distinct arguments; the induced check reads the same
+    # three (arity, cells) pairs, so each arity is searched once
     calls = []
-    enumerate_polys = clonekit.freestruct.all_polymorphisms
+    restrict = clonekit.freestruct.polymorphism_restrictions
 
-    def counted(a, n, *args):
-        calls.append(n)
-        return enumerate_polys(a, n, *args)
+    def counted(a, n, cells, *args):
+        calls.append((n, cells))
+        return restrict(a, n, cells, *args)
 
-    monkeypatch.setattr(clonekit.freestruct, "all_polymorphisms", counted)
+    monkeypatch.setattr(clonekit.freestruct, "polymorphism_restrictions", counted)
     t = projection_test_structure()
     res = h1_homomorphism_exists(k3s, t)
     assert res.found
-    assert sorted(calls) == [1, 2, 3]
+    two_values = tuple(c for c, args in enumerate(itertools.product(range(3), repeat=3))
+                       if len(set(args)) < 3)
+    assert sorted(calls) == [(1, tuple(range(3))), (2, tuple(range(9))), (3, two_values)]
     monkeypatch.undo()
-    assert res.induced == tuple(induced_operations(
-        res.free, res.coloring, clone_members_to_arity(k3s, 3)))
+    # the h1 report lists the operation induced by every member, as before
+    paths = {}
+    for name, structure in (("a", k3s), ("t", t)):
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(serialize_structure(structure))
+    out = tmp_path / "h1.json"
+    run = CliRunner().invoke(main, ["h1", str(paths["a"]), "--target", str(paths["t"]),
+                                    "--json", str(out)])
+    assert run.exit_code == 0, run.output
+    induced = induced_operations(res.free, res.coloring, clone_members_to_arity(k3s, 3))
+    report = json.loads(out.read_text())
+    assert report["certificates"]["induced"] == [operation_to_dict(op) for op in induced]
 
 
 def test_h1_rejects_a_repeated_bad_induced_operation(monkeypatch, k3s):
     # each distinct induced table is checked once; a bad table that appears
     # twice must still raise
     constant = OperationTable(3, 1, (0, 0, 0))
-    monkeypatch.setattr(clonekit.freestruct, "induced_operations",
+    monkeypatch.setattr(clonekit.freestruct, "_induced_by_restrictions",
                         lambda *args: [constant, constant])
     with pytest.raises(clonekit.CrossCheckError):
         h1_homomorphism_exists(k3s, k3s)
+
+
+def _random_structure(rng: random.Random, size: int) -> RelStructure:
+    """One or two random relations, ternary ones only on two elements; on
+    four elements also the singletons of two to four elements, which pin
+    them in every polymorphism and so keep Pol_3 small enough to list."""
+    rels = {}
+    for j in range(rng.randint(1, 2)):
+        k = rng.choice((1, 2, 2, 3)) if size == 2 else rng.choice((1, 2, 2))
+        cube = list(itertools.product(range(size), repeat=k))
+        rels[f"r{j}"] = rng.sample(cube, rng.randint(1, len(cube)))
+    if size == 4:
+        rels.update((f"s{v}", [(v,)]) for v in rng.sample(range(4), rng.randint(2, 4)))
+    return RelStructure.make(size, rels)
+
+
+def _lifting_from_full_lists(a: RelStructure, b: RelStructure):
+    """The carrier tables and lifted relations of the free structure of
+    Pol(a) over b, read from full lists of Pol_m(a): each member's minors
+    per column, deduplicated."""
+    d, nb = a.size, b.size
+    carrier = all_polymorphisms(a, nb)
+    index = {op.table: i for i, op in enumerate(carrier)}
+    lifted = {}
+    for name, k in b.signature.rel_names:
+        rows = b.relations[name]
+        minors = [minor_cells(d, [row[j] for row in rows], nb) for j in range(k)]
+        lifted[name] = tuple(sorted({tuple(index[tuple(f.table[c] for c in cells)]
+                                           for cells in minors)
+                                     for f in all_polymorphisms(a, len(rows))}))
+    return [op.table for op in carrier], lifted
+
+
+def test_h1_oracle_reads_restrictions_as_full_lists_would():
+    # seeded random sources of sizes 2-4, cores and not, against targets of
+    # sizes 2 and 3: the lifted relations and the distinct induced tables of
+    # a random map of the carrier, from restrictions and from full lists
+    rng = random.Random(1810)
+    seen = {"core": 0, "not a core": 0, "size 4": 0, "target size 3": 0,
+            "fewer restrictions than members": 0}
+    cases = 0
+    while cases < 24:
+        a = _random_structure(rng, rng.choice((2, 3, 4, 4)))
+        nb = rng.choice((2, 3))
+        b = RelStructure.make(nb, {
+            f"t{k}": rng.sample(list(itertools.product(range(nb), repeat=k)),
+                                rng.randint(1, min(3, nb**k)))
+            for k in rng.sample((1, 2, 3), 2)})
+        try:
+            all_polymorphisms(a, 3, SearchBudget(node_limit=500))
+        except BudgetExceededError:
+            continue  # too many ternary polymorphisms to list here
+        cases += 1
+        restrictions = clonekit.freestruct._restrictions_by_cells(a, None)
+        free = free_structure_over_polymorphisms(a, b, None, restrictions)
+        carrier, lifted = _lifting_from_full_lists(a, b)
+        assert [op.table for op in free.carrier] == carrier, (a, b)
+        assert free.lifted == lifted, (a, b)
+        coloring = Coloring(tuple(rng.randrange(b.size) for _ in carrier), False)
+        members = clone_members_to_arity(a, 3)
+        from_restrictions = clonekit.freestruct._induced_by_restrictions(
+            free, coloring, restrictions, None)
+        assert set(from_restrictions) == set(induced_operations(free, coloring, members)), (a, b)
+        seen["core" if core_of(a).core.size == a.size else "not a core"] += 1
+        seen["size 4"] += a.size == 4
+        seen["target size 3"] += b.size == 3
+        seen["fewer restrictions than members"] += sum(map(len, restrictions.values())) < len(
+            members) + len(carrier)
+    assert all(n >= 3 for n in seen.values()), seen

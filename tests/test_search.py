@@ -243,3 +243,31 @@ def test_universal_relations_change_nothing():
             plain, with_universal = build(nvars, d, calls), build(nvars, d, mixed)
             assert list(with_universal.solutions(order=order)) == list(plain.solutions(order=order))
             assert with_universal.nodes_explored == plain.nodes_explored, (case, order)
+
+
+def test_projected_solutions_are_the_distinct_restrictions():
+    # random CSPs with unary, binary and ternary relations and repeated
+    # scopes; the projection on a random ordered subset of the variables
+    # against the sorted distinct restrictions of the brute-force solutions,
+    # and on every variable in index order against order='index'
+    rng = random.Random(18)
+    seen = {"ternary": 0, "repeated variable": 0, "fewer than all": 0,
+            "several extensions": 0, "d over 8": 0}
+    for case in range(200):
+        d = rng.randint(1, 4) if case % 4 else rng.randint(5, 9)
+        nvars = rng.randint(2, 6 if d <= 4 else 3)
+        calls = random_calls(rng, nvars, d)
+        solutions = brute_force(nvars, d, calls)
+        project = rng.sample(range(nvars), rng.randint(0, nvars))
+        expected = sorted({tuple(x[v] for v in project) for x in solutions})
+        assert list(build(nvars, d, calls).solutions(project=project)) == expected, case
+        by_index, projected = build(nvars, d, calls), build(nvars, d, calls)
+        assert list(projected.solutions(project=range(nvars))) == list(
+            by_index.solutions(order="index")), case
+        assert projected.nodes_explored == by_index.nodes_explored, case
+        seen["ternary"] += any(len(set(s)) == 3 for scopes, _ in calls for s in scopes)
+        seen["repeated variable"] += any(len(set(s)) < len(s) for scopes, _ in calls for s in scopes)
+        seen["fewer than all"] += len(project) < nvars
+        seen["several extensions"] += len(expected) < len(solutions)
+        seen["d over 8"] += d > 8
+    assert all(n >= 10 for n in seen.values()), seen
