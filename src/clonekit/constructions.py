@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from operator import getitem
 from typing import Iterable, Mapping, Sequence
 
 from .clones import (
@@ -31,7 +32,7 @@ from .clones import (
     preservation_scopes,
     preserves,
 )
-from .homs import HomMap, core_of, find_homomorphism, hom_equivalent
+from .homs import HomMap, HomResult, core_of, hom_csp, hom_equivalent
 from .search import BudgetExceededError, CrossCheckError, Csp, Outcome, SearchBudget
 from .structures import (
     DEFAULT_POWER_CAP,
@@ -455,6 +456,14 @@ def bounded_pp_search(a: RelStructure, b: RelStructure, bounds: PPSearchBounds,
     surviving picks keep their order, so the first FOUND spec and its maps
     are those of the unpruned enumeration.
 
+    A prefix is checked on a CSP that extends its parent prefix's: each
+    candidate of each relation is compiled once per dimension, through
+    ``hom_csp`` of the power that holds only its tuples, and a prefix's CSP
+    is its parent's conjoined with the last pick's (``Csp.conjoin``), which
+    equals the ``hom_csp`` of the partial power.  A prefix's CSP is built
+    only when its answer is not yet known, and only the CSPs of the last
+    prefix checked are kept.
+
     The budget covers the whole search: ``node_limit`` counts the nodes of
     every prefix and pick search together, and every search and candidate
     list reads the budget's one deadline.  A REFUTED outcome means "no spec
@@ -486,29 +495,69 @@ def bounded_pp_search(a: RelStructure, b: RelStructure, bounds: PPSearchBounds,
             candidates = _encoded_candidates(a, b, dim, bounds, budget)
             if candidates is None:
                 continue
-
-            def viable(prefix) -> bool:
-                partial = find_homomorphism(_pick_power(dom, b, prefix), b, budget)
-                spend(partial.nodes, partial.outcome)
-                return partial.found
-
-            out_rels = b.signature.rel_names
-            max_total = bounds.max_atoms * len(out_rels)
-            memo = [{} for _ in out_rels]  # prefix answers, by prefix length
-            for total in range(max_total + 1):
-                for picks in _picks_with_total(candidates, total, viable, memo):
-                    power = _pick_power(dom, b, picks)
-                    eq = hom_equivalent(power, b, budget)
-                    spend(eq.nodes, eq.outcome)
-                    if eq.found:
-                        spec = PPPowerSpec(dim, tuple(
-                            (name, arity, item[1])
-                            for (name, arity), item in zip(out_rels, picks)))
-                        return BoundedSearchResult(Outcome.FOUND, bounds, spec, power,
-                                                   eq.forward, eq.backward)
+            found = _search_dimension(dom, b, candidates, bounds, budget, spend)
+            if found is not None:
+                picks, power, eq = found
+                spec = PPPowerSpec(dim, tuple(
+                    (name, arity, item[1])
+                    for (name, arity), item in zip(b.signature.rel_names, picks)))
+                return BoundedSearchResult(Outcome.FOUND, bounds, spec, power,
+                                           eq.forward, eq.backward)
     except BudgetExceededError:
         return BoundedSearchResult(Outcome.BUDGET, bounds)
     return BoundedSearchResult(Outcome.REFUTED, bounds)
+
+
+def _search_dimension(dom: int, b: RelStructure, candidates, bounds: PPSearchBounds,
+                      budget: SearchBudget, spend):
+    """The first pick of ``candidates`` whose power on ``dom`` elements is
+    homomorphically equivalent to b, as (picks, power, HomEqResult), or
+    None.  The candidates' CSPs, the prefix CSPs and the prefix answers live
+    in this call's frame, in no reference cycle, so they are freed when it
+    returns."""
+    deltas = [{} for _ in candidates]  # per relation, a CSP per candidate index
+    path = []  # (candidate index, CSP) per pick of the last prefix checked
+
+    def viable(idxs: tuple[int, ...]) -> bool:
+        k = 0
+        while k < min(len(path), len(idxs)) and path[k][0] == idxs[k]:
+            k += 1
+        del path[k:]
+        for i in range(k, len(idxs)):
+            delta = deltas[i].get(idxs[i])
+            if delta is None:
+                delta = deltas[i][idxs[i]] = hom_csp(
+                    _pick_power(dom, b, (candidates[i][idxs[i]],), i), b)
+            path.append((idxs[i], path[-1][1].conjoin(delta) if path else delta))
+        res = _prefix_search(path[-1][1], b,
+                             tuple(map(getitem, candidates, idxs)), budget)
+        spend(res.nodes, res.outcome)
+        return res.found
+
+    memo = [{} for _ in candidates]  # prefix answers, by prefix length
+    for total in range(bounds.max_atoms * len(candidates) + 1):
+        for picks in _picks_with_total(candidates, total, viable, memo):
+            power = _pick_power(dom, b, picks)
+            eq = hom_equivalent(power, b, budget)
+            spend(eq.nodes, eq.outcome)
+            if eq.found:
+                return picks, power, eq
+    return None
+
+
+def _prefix_search(csp: Csp, b: RelStructure, picks, budget: SearchBudget) -> HomResult:
+    """Search ``csp``, whose solutions are the homomorphisms to b of the
+    partial power of ``picks`` (``_pick_power``).  A map found is checked
+    against every picked tuple."""
+    outcome, sol = csp.solve(budget=budget)
+    witness = None
+    if outcome is Outcome.FOUND:
+        witness = HomMap(csp.nvars, b.size, sol)
+        for (name, _), item in zip(b.signature.rel_names, picks):
+            target = b.tuple_set(name)
+            if not all(tuple(map(sol.__getitem__, t)) in target for t in item[2]):
+                raise CrossCheckError("prefix map is not a homomorphism")
+    return HomResult(outcome, witness, csp.nodes_explored)
 
 
 def _encoded_candidates(a: RelStructure, b: RelStructure, dim: int,
@@ -535,42 +584,41 @@ def _encoded_candidates(a: RelStructure, b: RelStructure, dim: int,
     return candidates
 
 
-def _pick_power(dom: int, b: RelStructure, picks) -> RelStructure:
-    """The power on ``dom`` elements whose first len(picks) relations of b
-    hold the picked candidates' tuples; the later relations are empty."""
-    rels = {name: () for name in b.signature.names()}
-    rels.update(zip(b.signature.names(), (item[2] for item in picks)))
+def _pick_power(dom: int, b: RelStructure, picks, first: int = 0) -> RelStructure:
+    """The power on ``dom`` elements whose relations ``first``,
+    ``first + 1``, ... of b hold the picked candidates' tuples; the other
+    relations are empty."""
+    names = b.signature.names()
+    rels = dict.fromkeys(names, ())
+    rels.update(zip(names[first:], (item[2] for item in picks)))
     return RelStructure(dom, b.signature, rels)
 
 
-def _picks_with_total(candidates, total, viable, memo):
+def _picks_with_total(candidates, total, viable, memo, i=0, code=0, idxs=()):
     """All ways to pick one candidate per relation with atom counts summing
-    to ``total``, in lexicographic order of candidate indices.
+    to ``total``, in lexicographic order of candidate indices, below the
+    first ``i`` picks ``idxs``.
 
-    A prefix of 1 <= i < n picks is extended only if ``viable(prefix)``.
-    Its answer is kept in ``memo[i]``, keyed by the prefix's candidate
-    indices read as one mixed-radix integer, so that every total asks about
-    each prefix at most once.
+    A prefix of 1 <= i < n picks is extended only if ``viable(idxs)``, its
+    candidate indices.  Its answer is kept in ``memo[i]``, keyed by those
+    indices read as one mixed-radix integer ``code``, so that every total
+    asks about each prefix at most once.
     """
-    n = len(candidates)
-
-    def rec(i, remaining, code, prefix):
-        if i == n:
-            if remaining == 0:
-                yield prefix
+    if i == len(candidates):
+        if total == 0:
+            yield tuple(map(getitem, candidates, idxs))
+        return
+    if i:
+        ok = memo[i].get(code)
+        if ok is None:
+            ok = memo[i][code] = viable(idxs)
+        if not ok:
             return
-        if i:
-            ok = memo[i].get(code)
-            if ok is None:
-                ok = memo[i][code] = viable(prefix)
-            if not ok:
-                return
-        radix = len(candidates[i])
-        for idx, item in enumerate(candidates[i]):
-            if item[0] <= remaining:
-                yield from rec(i + 1, remaining - item[0], code * radix + idx,
-                               prefix + (item,))
-    return rec(0, total, 0, ())
+    radix = len(candidates[i])
+    for idx, item in enumerate(candidates[i]):
+        if item[0] <= total:
+            yield from _picks_with_total(candidates, total - item[0], viable, memo,
+                                         i + 1, code * radix + idx, idxs + (idx,))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ evaluation) reduces to the same problem shape: variables with bitmask domains an
 constraints.  One call adds one relation on all of its scopes, and the
 relation is compiled once per equality pattern of those scopes; a caller
 that adds the same relation to many CSPs can pass one memo of compiled forms
-to all of them.  Binary constraints are revised bitwise (Lecoutre and Vion,
+to all of them.  A CSP can also be conjoined with another on the same
+variables, which equals replaying the other's constraints on a copy of it,
+so a caller that extends one CSP in several ways compiles each extension
+once.  Binary constraints are revised bitwise (Lecoutre and Vion,
 *Enforcing arc consistency using bitwise operations*, 2008): a union table,
 indexed by a domain mask in 8-bit chunks, gives the supports of the up to 8
 values of one chunk at once.  A revision reads only the chunks that hold
@@ -54,9 +57,10 @@ class SearchBudget:
     """Resource limits for one decision.
 
     The time limit is one ``deadline``, fixed when the budget is created and
-    read through :meth:`check` by every search and long loop given the
-    budget; the node limit bounds each search on its own.  Exhaustion is
-    reported as Outcome.BUDGET, never conflated with a completed refutation.
+    read through :meth:`check` by every long loop given the budget, and by
+    every search at its root and at each of its nodes; the node limit bounds
+    each search on its own.  Exhaustion is reported as Outcome.BUDGET, never
+    conflated with a completed refutation.
     """
 
     node_limit: int | None = None
@@ -85,9 +89,10 @@ class Csp:
 
     Constraints are added via :meth:`add_constraint`, one call per
     relation: the variable scopes it applies to and its allowed value
-    tuples.  Repeated variables in a scope are collapsed by restricting the
-    allowed tuples to the matching diagonal, and a scope whose collapsed
-    relation allows every tuple is dropped.  Two constraints on the same
+    tuples; :meth:`conjoin` adds those of another CSP to a copy.  Repeated
+    variables in a scope are collapsed by restricting the allowed tuples to
+    the matching diagonal, and a scope whose collapsed relation allows
+    every tuple is dropped.  Two constraints on the same
     variable pair act as one, on the intersection of their relations.
     Binary constraints keep two support lists (the supports of each value
     of one end on the other).  The first propagation groups each
@@ -207,6 +212,28 @@ class Csp:
             sup_xy = list(map(and_, old[0], sup_xy))
             sup_yx = list(map(and_, old[1], sup_yx))
         self._bin[x, y] = (sup_xy, sup_yx)
+
+    def conjoin(self, other: Csp) -> Csp:
+        """A new CSP with the constraints of ``other`` added after this one's,
+        equal to replaying on a copy of this CSP the calls that built
+        ``other``: domains are ANDed, a variable pair constrained in both
+        keeps the intersection of the two support lists, as in
+        :meth:`_add_binary`, and the wider constraints of ``other`` follow
+        this one's in order.  Neither CSP changes; the new one shares with
+        them only support lists and compiled tuples, which no CSP changes."""
+        if (other.nvars, other.domain_size) != (self.nvars, self.domain_size):
+            raise ValueError("conjoined CSPs need equal variable counts and domain sizes")
+        csp = Csp(self.nvars, self.domain_size)
+        csp.dom = list(map(and_, self.dom, other.dom))
+        csp._failed = self._failed or other._failed or not all(csp.dom)
+        csp._bin = dict(self._bin)
+        for (x, y), sups in other._bin.items():
+            csp._add_binary(x, y, *sups)
+        offset = len(self._nary)
+        csp._nary = self._nary + other._nary
+        csp._var_narys = [mine + [offset + i for i in theirs]
+                          for mine, theirs in zip(self._var_narys, other._var_narys)]
+        return csp
 
     # -- propagation ---------------------------------------------------------
 
@@ -332,13 +359,15 @@ class Csp:
         smallest-domain-first search for an extension, stopped at the first
         one.  order='index' is the projection on every variable.  Raises
         BudgetExceededError when the node limit runs out or the deadline
-        has passed, checked at the root and every 64 nodes of either phase.
+        has passed, checked at the root and at every node of either phase.
         """
         budget = budget or DEFAULT_BUDGET
         self.nodes_explored = 0
         if self._failed:
             return
         budget.check()
+        deadline = budget.deadline
+        monotonic = time.monotonic
         dom = list(self.dom)
         if not self._propagate(dom, range(self.nvars)):
             return
@@ -411,9 +440,9 @@ class Csp:
             if node_limit is not None and nodes > node_limit:
                 self.nodes_explored = nodes
                 raise BudgetExceededError("node limit exceeded")
-            if nodes % 64 == 0:
+            if deadline is not None and monotonic() > deadline:
                 self.nodes_explored = nodes
-                budget.check()
+                raise BudgetExceededError("time limit exceeded")
             child = list(base)
             child[var] = low
             if self._propagate(child, (var,)):

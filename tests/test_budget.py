@@ -10,6 +10,7 @@ work and the fake time at the end counts the reads a decision made.
 import itertools
 import json
 import math
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -18,7 +19,7 @@ import clonekit.clones
 import clonekit.search
 from clonekit import CloneGenSet, OperationTable, Outcome, RelStructure, SearchBudget
 from clonekit.cli import main
-from clonekit.clones import clone_to_dict, generate_to_arity
+from clonekit.clones import all_polymorphisms, clone_to_dict, generate_to_arity
 from clonekit.constructions import PPSearchBounds, bounded_pp_search, is_pp_definable
 from clonekit.freestruct import (
     Coloring,
@@ -66,8 +67,7 @@ LATTICE3 = CloneGenSet.of(3, [OperationTable(3, 2, tuple(op(x, y) for x in range
                                                          for y in range(3)))
                               for op in (min, max)])
 
-# Decisions made of several small searches, none of which reaches 64 nodes,
-# so that no single search runs out on its own.  ``raises`` marks the
+# Decisions made of several small searches.  ``raises`` marks the
 # decisions whose contract is to raise BudgetExceededError.
 DECISIONS = {
     "core_of": (lambda budget: core_of(K3, budget), True),
@@ -248,9 +248,33 @@ def test_projected_search_stops_in_the_extension_search():
 
 
 def test_projected_search_reads_the_deadline_in_the_extension_search(clock):
-    # the deadline falls between the root's read and the read at node 64,
-    # made by the extension search below variable 0's first value
+    # the deadline falls between the reads at node 1, variable 0's first
+    # value, and at node 2, made by the extension search below it
     csp = _pigeons_behind_a_free_variable()
     with pytest.raises(BudgetExceededError):
-        next(csp.solutions(SearchBudget(time_limit_ms=1500), project=[0]))
-    assert (csp.nodes_explored, clock.now) == (64, 3)
+        next(csp.solutions(SearchBudget(time_limit_ms=2500), project=[0]))
+    assert (csp.nodes_explored, clock.now) == (2, 4)
+
+
+def _slow_node_relation():
+    """A ternary relation on three elements whose polymorphism search costs
+    about 0.065 s per node and makes 9 nodes for its 6 ternary tables."""
+    rng = random.Random(3)
+    return RelStructure.make(3, {"r": rng.sample(list(itertools.product(range(3), repeat=3)),
+                                                 20)})
+
+
+def test_search_reads_the_deadline_at_every_node(clock):
+    a = _slow_node_relation()
+    assert len(all_polymorphisms(a, 3, SearchBudget(time_limit_ms=1e12))) == 6
+    assert clock.now == 1 + 1 + 9  # budget, root and one read per node
+    clock.now = 0
+    # the deadline falls between the root's read and node 1's
+    with pytest.raises(BudgetExceededError):
+        all_polymorphisms(a, 3, SearchBudget(time_limit_ms=1500))
+    assert clock.now == 3
+
+
+def test_slow_nodes_stop_at_a_real_deadline():
+    with pytest.raises(BudgetExceededError):
+        all_polymorphisms(_slow_node_relation(), 3, SearchBudget(time_limit_ms=100))

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import time
@@ -513,32 +514,65 @@ def has_constant_endomorphism(b):
                for v in range(b.size))
 
 
-@pytest.mark.parametrize("bounds", [PPSearchBounds(1, 0, 1), PPSearchBounds(2, 0, 1)])
-def test_bounded_search_matches_unpruned_enumeration(monkeypatch, bounds):
-    # b has two relations, so every pick has a prefix to check, and no
-    # constant endomorphism, which any nonempty power would map onto
-    refuted_prefixes = []
-    search = constructions.find_homomorphism
-
-    def counted(*args, **kwargs):
-        res = search(*args, **kwargs)
-        refuted_prefixes.append(res.outcome is Outcome.REFUTED)
-        return res
-
-    monkeypatch.setattr(constructions, "find_homomorphism", counted)
+def random_pairs(bounds):
+    """Seeded source and target pairs for the bounded search; b has two
+    relations, so every pick has a prefix to check, and no constant
+    endomorphism, which any nonempty power would map onto."""
     rng = random.Random(20 + bounds.max_dimension)
-    outcomes = []
-    while len(outcomes) < 25:
+    while True:
         a = random_structure(rng, rng.choice((2, 3)), rng.choice((1, 2)), (1, 2, 3))
         b = random_structure(rng, 2, 2, (1, 2))
-        if has_constant_endomorphism(b):
-            continue
+        if not has_constant_endomorphism(b):
+            yield a, b
+
+
+def logged_prefix_search(monkeypatch, search):
+    """Route every prefix check through ``search`` and return the list that
+    collects each check's (prefix length, outcome, nodes)."""
+    log = []
+
+    def logged(csp, b, picks, budget):
+        res = search(csp, b, picks, budget)
+        log.append((len(picks), res.outcome, res.nodes))
+        return res
+
+    monkeypatch.setattr(constructions, "_prefix_search", logged)
+    return log
+
+
+def rebuilt_prefix_search(csp, b, picks, budget):
+    """Oracle for a prefix check: ignore the extended CSP and search the
+    hom_csp of the partial power, built from scratch."""
+    return homs.find_homomorphism(constructions._pick_power(csp.nvars, b, picks), b, budget)
+
+
+@pytest.mark.parametrize("bounds", [PPSearchBounds(1, 0, 1), PPSearchBounds(2, 0, 1)])
+def test_bounded_search_matches_unpruned_enumeration(monkeypatch, bounds):
+    log = logged_prefix_search(monkeypatch, constructions._prefix_search)
+    outcomes = []
+    for a, b in itertools.islice(random_pairs(bounds), 25):
         res = bounded_pp_search(a, b, bounds)
         want = unpruned_pp_search(a, b, bounds)
         assert (res.outcome, res.spec, res.power, res.forward, res.backward) == want
         outcomes.append(res.outcome)
     assert set(outcomes) == {Outcome.FOUND, Outcome.REFUTED}
-    assert sum(refuted_prefixes) > 0
+    assert sum(outcome is Outcome.REFUTED for _, outcome, _ in log) > 0
+
+
+@pytest.mark.parametrize("bounds", [PPSearchBounds(1, 0, 1), PPSearchBounds(2, 0, 1)])
+def test_extended_prefix_csps_match_rebuilt_ones(monkeypatch, bounds):
+    # same result, same prefix verdicts in the same order, same nodes each
+    extend = constructions._prefix_search
+    checks = 0
+    for a, b in itertools.islice(random_pairs(bounds), 25):
+        runs = []
+        for search in (extend, rebuilt_prefix_search):
+            log = logged_prefix_search(monkeypatch, search)
+            res = bounded_pp_search(a, b, bounds)
+            runs.append(((res.outcome, res.spec, res.power, res.forward, res.backward), log))
+        assert runs[0] == runs[1]
+        checks += len(runs[0][1])
+    assert checks > 0
 
 
 def test_bounded_search_hepp_result_pinned_with_few_hom_searches(monkeypatch):
@@ -550,7 +584,16 @@ def test_bounded_search_hepp_result_pinned_with_few_hom_searches(monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(homs, "find_homomorphism", counted)
-    monkeypatch.setattr(constructions, "find_homomorphism", counted)
+    log = logged_prefix_search(monkeypatch, constructions._prefix_search)
+    picks = []
+    equivalent = constructions.hom_equivalent
+
+    def tried(power, b, budget):
+        res = equivalent(power, b, budget)
+        picks.append(res.nodes)
+        return res
+
+    monkeypatch.setattr(constructions, "hom_equivalent", tried)
     res = bounded_pp_search(hepp_A(), hepp_B(), PPSearchBounds(1, 0, 1))
     assert res.found
     assert res.spec == PPPowerSpec(1, (
@@ -561,8 +604,31 @@ def test_bounded_search_hepp_result_pinned_with_few_hom_searches(monkeypatch):
     ))
     assert res.forward.map == (0, 1, 0, 1)
     assert res.backward.map == (0, 1)
-    # every pick tried without pruning took 5,251 searches
-    assert len(searches) < 1000
+    # every pick tried without pruning took 5,251 searches; now the
+    # prefixes are checked on CSPs of their own, and of the 38 picks tried
+    # only the last passes the first search of hom_equivalent to reach its
+    # second
+    assert (len(log), len(picks)) == (480, 38)
+    assert sum(nodes for _, _, nodes in log) + sum(picks) == 33
+    assert len(searches) == 38 + 1
+
+
+def test_bounded_search_leaves_no_csp_in_a_reference_cycle():
+    # with the collector off, a CSP kept alive by a cycle outlives the
+    # search; every CSP the search builds must be freed when it returns
+    def csps():
+        return sum(isinstance(obj, Csp) for obj in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = csps()
+        res = bounded_pp_search(hepp_A(), hepp_B(), PPSearchBounds(1, 0, 2))
+        after = csps()
+    finally:
+        gc.enable()
+    assert res.found
+    assert after == before
 
 
 def test_verify_pp_interpretation_accepts_hepp_quotient():

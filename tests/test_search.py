@@ -9,6 +9,8 @@ that a call shares between its scopes are exercised.
 import itertools
 import random
 
+import pytest
+
 from clonekit.search import Csp
 
 
@@ -271,3 +273,54 @@ def test_projected_solutions_are_the_distinct_restrictions():
         seen["several extensions"] += len(expected) < len(solutions)
         seen["d over 8"] += d > 8
     assert all(n >= 10 for n in seen.values()), seen
+
+
+def snapshot(csp: Csp):
+    """A copy of the constraints of ``csp``, by value and in order."""
+    return (list(csp.dom), csp._failed,
+            [(pair, tuple(map(tuple, sups))) for pair, sups in csp._bin.items()],
+            list(csp._nary), [list(ids) for ids in csp._var_narys])
+
+
+def test_conjoin_equals_adding_the_constraints_in_sequence():
+    # CSPs built from two or three batches of random calls, conjoined in
+    # order, against one CSP that adds every call in sequence; the batches
+    # share variable pairs, so conjoin intersects their support lists
+    rng = random.Random(1920)
+    seen = {"pair in two batches": 0, "ternary": 0, "repeated variable": 0,
+            "unary": 0, "wiped out": 0, "solvable": 0}
+    for case in range(200):
+        d = rng.randint(1, 4) if case % 4 else rng.randint(5, 9)
+        nvars = rng.randint(2, 6 if d <= 4 else 3)
+        batches = [random_calls(rng, nvars, d) for _ in range(rng.randint(2, 3))]
+        parts = [build(nvars, d, calls) for calls in batches]
+        before = list(map(snapshot, parts))
+        conjoined = parts[0]
+        for part in parts[1:]:
+            conjoined = conjoined.conjoin(part)
+        every = [call for calls in batches for call in calls]
+        assert snapshot(conjoined) == snapshot(build(nvars, d, every)), case
+        assert root_fixpoint(conjoined) == root_fixpoint(build(nvars, d, every)), case
+        for order in ("index", "mindom"):
+            sequential = build(nvars, d, every)
+            got = list(conjoined.solutions(order=order))
+            assert got == list(sequential.solutions(order=order)), (case, order)
+            assert conjoined.nodes_explored == sequential.nodes_explored, (case, order)
+        assert list(map(snapshot, parts)) == before, case
+        pairs = [{frozenset(s) for scopes, _ in calls for s in scopes if len(set(s)) == 2}
+                 for calls in batches]
+        seen["pair in two batches"] += any(p & q for p, q in itertools.combinations(pairs, 2))
+        scopes = [s for scopes, _ in every for s in scopes]
+        seen["ternary"] += any(len(set(s)) == 3 for s in scopes)
+        seen["repeated variable"] += any(len(set(s)) < len(s) for s in scopes)
+        seen["unary"] += any(len(set(s)) == 1 for s in scopes)
+        seen["wiped out"] += root_fixpoint(conjoined) is None
+        seen["solvable"] += bool(got)
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_conjoin_needs_equal_shapes():
+    with pytest.raises(ValueError):
+        Csp(3, 2).conjoin(Csp(2, 2))
+    with pytest.raises(ValueError):
+        Csp(2, 3).conjoin(Csp(2, 2))
