@@ -9,22 +9,26 @@ that adds the same relation to many CSPs can pass one memo of compiled forms
 to all of them.  A CSP can also be conjoined with another on the same
 variables, which equals replaying the other's constraints on a copy of it,
 so a caller that extends one CSP in several ways compiles each extension
-once.  Binary constraints are revised bitwise (Lecoutre and Vion,
-*Enforcing arc consistency using bitwise operations*, 2008): a union table,
-indexed by a domain mask in 8-bit chunks, gives the supports of the up to 8
-values of one chunk at once.  A revision reads only the chunks that hold
-domain values, and each table entry is computed the first time it is read.
-A variable's binary constraints are grouped by the support list that maps
-its values to the other end, so when its domain changes one support mask
-per group narrows every far end of the group.  Wider scopes are revised by
-scanning their allowed tuples, each only once the binary constraints have
-reached their fixpoint.  Search is depth-first with propagation at every
-node and ascending value order.  It enumerates every solution in
-smallest-domain-first variable order, or only the distinct assignments of
-chosen variables that extend to a solution: it branches on those in the
-given order and, below each full assignment of them, searches
-smallest-domain-first for one extension.  Projected on every variable this
-is static index order, whose enumeration is lexicographic.
+once.  A scope of two distinct variables needs no equality pattern and goes
+straight to its pair, and a second constraint on a pair whose support lists
+equal the first's by value changes nothing.  Binary constraints are revised
+bitwise (Lecoutre and Vion, *Enforcing arc consistency using bitwise
+operations*, 2008): a union table, indexed by a domain mask in 8-bit chunks,
+gives the supports of the up to 8 values of one chunk at once.  A revision
+reads only the chunks that hold domain values, and each table entry is
+computed the first time it is read; a singleton reads its one support list
+entry instead.  A variable's binary constraints are grouped by the support
+list that maps its values to the other end, so when its domain changes one
+support mask per group narrows every far end of the group, and each far end
+is tested against the mask before anything is written.  Wider scopes are
+revised by scanning their allowed tuples, each only once the binary
+constraints have reached their fixpoint.  Search is depth-first with
+propagation at every node and ascending value order.  It enumerates every
+solution in smallest-domain-first variable order, or only the distinct
+assignments of chosen variables that extend to a solution: it branches on
+those in the given order and, below each full assignment of them, searches
+smallest-domain-first for one extension.  Projected on every variable this is
+static index order, whose enumeration is lexicographic.
 """
 
 from __future__ import annotations
@@ -91,20 +95,23 @@ class Csp:
     relation: the variable scopes it applies to and its allowed value
     tuples; :meth:`conjoin` adds those of another CSP to a copy.  Repeated
     variables in a scope are collapsed by restricting the allowed tuples to
-    the matching diagonal, and a scope whose collapsed relation allows
-    every tuple is dropped.  Two constraints on the same
-    variable pair act as one, on the intersection of their relations.
-    Binary constraints keep two support lists (the supports of each value
-    of one end on the other).  The first propagation groups each
-    variable's binary constraints by the support list that maps its values
-    to the other end, with one empty union table per distinct list.  When a
-    variable's domain changes, each of its groups computes one support mask
-    and ANDs it into every far end of the group; its own end is revised
-    from the far side when that end changes.  Wider constraints wait in a
-    pending set and are revised one at a time, each only once the binary
-    constraints have reached their fixpoint, an order in the spirit of
-    Wallace and Freuder (*Ordering heuristics for arc consistency
-    algorithms*, 1992).  The fixpoint is the same GAC fixpoint in any order.
+    the matching diagonal, and a scope whose collapsed relation allows every
+    tuple is dropped; a scope of two distinct variables needs no pattern and
+    goes straight to its pair.  Two constraints on the same variable pair act
+    as one, on the intersection of their relations, and a second one equal
+    to the first is a no-op.  Binary constraints keep two support lists (the
+    supports of each value of one end on the other).  The first propagation
+    groups each variable's binary constraints by the support list that maps
+    its values to the other end, with one empty union table per distinct
+    list.  When a variable's domain changes, each of its groups computes one
+    support mask and ANDs it into the far ends of the group that it narrows:
+    a mask that reaches every value is skipped, and each far end is tested
+    before any write.  Its own end is revised from the far side when that
+    end changes.  Wider constraints wait in a pending set and are revised one
+    at a time, each only once the binary constraints have reached their
+    fixpoint, an order in the spirit of Wallace and Freuder (*Ordering
+    heuristics for arc consistency algorithms*, 1992).  The fixpoint is the
+    same GAC fixpoint in any order.
     Search can project on chosen variables: it branches on them alone and
     asks the rest only for one extension of each of their assignments.
     """
@@ -150,8 +157,26 @@ class Csp:
         """
         if compiled is None:
             compiled = {}
+        self._groups = None  # groups stand for the final support lists
         plain = ()
+        fwd = rev = False  # the form of plain pairs and its reverse, once looked up
         for scope in scopes:
+            if len(scope) == 2 and scope[0] != scope[1]:
+                if fwd is False:
+                    fwd = compiled.get((0, 1), False)
+                    if fwd is False:
+                        fwd = compiled[0, 1] = self._compile((0, 1), allowed)
+                    rev = fwd and fwd[::-1]
+                if fwd is None:
+                    continue
+                x, y = scope
+                key, sups = ((x, y), fwd) if x < y else ((y, x), rev)
+                old = self._bin.get(key)
+                if old is None:
+                    self._bin[key] = sups
+                elif old != sups:
+                    self._add_binary(x, y, *fwd)
+                continue
             if len(set(scope)) == len(scope):
                 # no repeated variable: pattern 0..k-1, every variable kept
                 if len(plain) != len(scope):
@@ -202,16 +227,14 @@ class Csp:
         """Attach support lists to the pair (x, y).  The lists may be shared
         with other pairs and other CSPs, so a second constraint on one pair
         replaces them with their intersection instead of narrowing them in
-        place.  Groups and union tables stand for the final lists, so adding
-        a constraint drops any set up earlier."""
-        self._groups = None
+        place, and leaves them as they are when they are equal by value."""
         if x > y:
             x, y, sup_xy, sup_yx = y, x, sup_yx, sup_xy
         old = self._bin.get((x, y))
-        if old is not None:
-            sup_xy = list(map(and_, old[0], sup_xy))
-            sup_yx = list(map(and_, old[1], sup_yx))
-        self._bin[x, y] = (sup_xy, sup_yx)
+        if old is None:
+            self._bin[x, y] = (sup_xy, sup_yx)
+        elif old != (sup_xy, sup_yx):
+            self._bin[x, y] = (list(map(and_, old[0], sup_xy)), list(map(and_, old[1], sup_yx)))
 
     def conjoin(self, other: Csp) -> Csp:
         """A new CSP with the constraints of ``other`` added after this one's,
@@ -262,23 +285,32 @@ class Csp:
                 group[2].append(w)
         return [list(g.values()) for g in groups]
 
-    def _propagate(self, dom: list[int], dirty_vars) -> bool:
-        """Enforce GAC starting from the given dirty variables; False on wipeout."""
+    def _propagate(self, dom: list[int], dirty_vars, deadline: float | None = None) -> bool:
+        """Enforce GAC starting from the given dirty variables; False on wipeout.
+        Reads ``deadline``, if given, every 256 revisions of wider constraints
+        and raises BudgetExceededError once it has passed."""
         groups = self._groups
         if groups is None:
             groups = self._groups = self._group_binaries()
         nary = self._nary
         var_narys = self._var_narys
         queue = deque(dirty_vars)
-        queued = set(queue)
+        queued = [False] * self.nvars
+        for v in queue:
+            queued[v] = True
         pending: set[int] = set()
+        full = (1 << self.domain_size) - 1
+        revisions = 0
         while True:
             while queue:
                 var = queue.popleft()
-                queued.discard(var)
+                queued[var] = False
+                dv = dom[var]
+                single = -1 if dv & (dv - 1) else dv.bit_length() - 1
                 for tab, sup, others in groups[var]:
-                    dv = dom[var]
-                    m = 0
+                    # a singleton reads one support list entry, not the table
+                    m = sup[single] if single >= 0 else 0
+                    dv = 0 if single >= 0 else dom[var]
                     # the nonzero chunks of the domain, highest first
                     while dv > 255:
                         shift = (dv.bit_length() - 1) & -8
@@ -295,19 +327,27 @@ class Csp:
                         if part is None:
                             part = chunk[dv] = _chunk_union(sup, 0, dv)
                         m |= part
+                    # the values no support reaches, if any: each far end is
+                    # tested for them before a write, since most hold none
+                    cut = full ^ m
+                    if not cut:
+                        continue
                     for y in others:
-                        old = dom[y]
-                        new = old & m
-                        if new != old:
+                        if dom[y] & cut:
+                            new = dom[y] & m
                             if not new:
                                 return False
                             dom[y] = new
-                            if y not in queued:
+                            if not queued[y]:
                                 queue.append(y)
-                                queued.add(y)
-                pending.update(var_narys[var])
+                                queued[y] = True
+                if nary:
+                    pending.update(var_narys[var])
             if not pending:
                 return True
+            revisions += 1
+            if deadline is not None and not revisions & 255 and time.monotonic() > deadline:
+                raise BudgetExceededError("time limit exceeded")
             scope, allowed = nary[pending.pop()]
             k = len(scope)
             masks = [0] * k
@@ -328,9 +368,9 @@ class Csp:
                     if not new:
                         return False
                     dom[v] = new
-                    if v not in queued:
+                    if not queued[v]:
                         queue.append(v)
-                        queued.add(v)
+                        queued[v] = True
 
     # -- search ----------------------------------------------------------------
 
@@ -369,7 +409,7 @@ class Csp:
         deadline = budget.deadline
         monotonic = time.monotonic
         dom = list(self.dom)
-        if not self._propagate(dom, range(self.nvars)):
+        if not self._propagate(dom, range(self.nvars), deadline):
             return
         node_limit = budget.node_limit
         nodes = 0

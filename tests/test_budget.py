@@ -19,7 +19,12 @@ import clonekit.clones
 import clonekit.search
 from clonekit import CloneGenSet, OperationTable, Outcome, RelStructure, SearchBudget
 from clonekit.cli import main
-from clonekit.clones import all_polymorphisms, clone_to_dict, generate_to_arity
+from clonekit.clones import (
+    _polymorphism_csp,
+    all_polymorphisms,
+    clone_to_dict,
+    generate_to_arity,
+)
 from clonekit.constructions import PPSearchBounds, bounded_pp_search, is_pp_definable
 from clonekit.freestruct import (
     Coloring,
@@ -267,12 +272,22 @@ def _slow_node_relation():
 def test_search_reads_the_deadline_at_every_node(clock):
     a = _slow_node_relation()
     assert len(all_polymorphisms(a, 3, SearchBudget(time_limit_ms=1e12))) == 6
-    assert clock.now == 1 + 1 + 9  # budget, root and one read per node
+    # budget, root, one read per 256 revisions of the root propagation's
+    # ternary constraints, and one read per node
+    assert clock.now == 1 + 1 + 26 + 9
     clock.now = 0
-    # the deadline falls between the root's read and node 1's
+    # the deadline falls between the root propagation's last read and node 1's
     with pytest.raises(BudgetExceededError):
-        all_polymorphisms(a, 3, SearchBudget(time_limit_ms=1500))
-    assert clock.now == 3
+        all_polymorphisms(a, 3, SearchBudget(time_limit_ms=27500))
+    assert clock.now == 29
+
+
+def test_root_propagation_reads_the_deadline(clock):
+    # the deadline falls between the root propagation's 9th and 10th reads
+    csp = _polymorphism_csp(_slow_node_relation(), 3)
+    with pytest.raises(BudgetExceededError):
+        next(csp.solutions(SearchBudget(time_limit_ms=10500)))
+    assert (csp.nodes_explored, clock.now) == (0, 12)
 
 
 def test_slow_nodes_stop_at_a_real_deadline():

@@ -324,3 +324,98 @@ def test_conjoin_needs_equal_shapes():
         Csp(3, 2).conjoin(Csp(2, 2))
     with pytest.raises(ValueError):
         Csp(2, 3).conjoin(Csp(2, 2))
+
+
+def repeated_pair_calls(rng: random.Random, nvars: int, d: int):
+    """Binary relations on pairs of distinct variables, each call followed
+    by a second one on the same pairs: the relation again, its converse on
+    the reversed scopes, a symmetric relation on the reversed scopes, or a
+    different relation on some of the pairs.  Returns the kind of each
+    pair of calls and the calls, a call's first and second in turn."""
+    universe = list(itertools.product(range(d), repeat=2))
+    kinds, calls = [], []
+    for _ in range(rng.randint(1, 4)):
+        allowed = rng.sample(universe, rng.randint(len(universe) // 3, len(universe)))
+        scopes = [tuple(rng.sample(range(nvars), 2)) for _ in range(rng.randint(1, 3))]
+        kind = rng.choice(("again", "converse", "symmetric", "different"))
+        reversed_scopes = [(y, x) for x, y in scopes]
+        if kind == "again":
+            second = (scopes, allowed)
+        elif kind == "converse":
+            second = (reversed_scopes, [(b, a) for a, b in allowed])
+        elif kind == "symmetric":
+            allowed = sorted(set(allowed) | {(b, a) for a, b in allowed})
+            second = (reversed_scopes, allowed)
+        else:
+            other = rng.sample(universe, rng.randint(len(universe) // 3, len(universe)))
+            second = (scopes[:rng.randint(1, len(scopes))], other)
+        kinds.append(kind)
+        calls += [(scopes, allowed), second]
+    return kinds, calls
+
+
+def one_relation_per_pair(nvars: int, d: int, calls) -> Csp:
+    """The CSP of ``calls`` with one pre-intersected relation per pair."""
+    relations: dict = {}
+    for scopes, allowed in calls:
+        for x, y in scopes:
+            oriented = set(allowed) if x < y else {(b, a) for a, b in allowed}
+            key = (min(x, y), max(x, y))
+            relations[key] = relations.get(key, oriented) & oriented
+    csp = Csp(nvars, d)
+    for pair, allowed in relations.items():
+        csp.add_constraint([pair], sorted(allowed))
+    return csp
+
+
+def test_repeated_pairs_match_one_intersected_relation_per_pair():
+    # a pair given the same constraint twice, in either orientation, and a
+    # pair given two different ones; also conjoined, the first call of each
+    # kind in one CSP and the second in the other, so the two share pairs
+    # with equal support lists
+    rng = random.Random(2020)
+    seen = {"again": 0, "converse": 0, "symmetric": 0, "different": 0,
+            "past one chunk": 0, "solvable": 0, "wiped out": 0}
+    for case in range(200):
+        d = rng.randint(1, 4) if case % 5 else 9
+        nvars = rng.randint(2, 5 if d <= 4 else 3)
+        kinds, calls = repeated_pair_calls(rng, nvars, d)
+        expected = brute_force(nvars, d, calls)
+        for order in ("index", "mindom"):
+            reference = one_relation_per_pair(nvars, d, calls)
+            want = list(reference.solutions(order=order))
+            first, second = build(nvars, d, calls[::2]), build(nvars, d, calls[1::2])
+            for csp in (build(nvars, d, calls), first.conjoin(second)):
+                assert list(csp.solutions(order=order)) == want, (case, order)
+                assert csp.nodes_explored == reference.nodes_explored, (case, order)
+        assert sorted(want) == expected, case
+        assert root_fixpoint(build(nvars, d, calls)) == root_fixpoint(reference), case
+        for kind in kinds:
+            seen[kind] += 1
+        seen["past one chunk"] += d > 8
+        seen["solvable"] += bool(expected)
+        seen["wiped out"] += root_fixpoint(reference) is None
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_an_equal_second_constraint_leaves_the_pair_as_it_is():
+    # equal support lists, from one memo or compiled again, in either
+    # orientation, keep the first lists; a different relation replaces them
+    # with their intersection and changes no compiled form
+    ne = [(a, b) for a in range(3) for b in range(3) if a != b]
+    forms: dict = {}
+    csp = Csp(3, 3)
+    csp.add_constraint([(0, 1), (2, 1)], ne, forms)
+    held = dict(csp._bin)
+    csp.add_constraint([(1, 0), (1, 2)], ne, forms)
+    csp.add_constraint([(0, 1)], list(ne))
+    other = Csp(3, 3)
+    other.add_constraint([(1, 2)], list(reversed(ne)))
+    conjoined = csp.conjoin(other)
+    assert all(csp._bin[pair] is held[pair] is conjoined._bin[pair] for pair in held)
+    compiled = tuple(map(list, forms[0, 1]))
+    csp.add_constraint([(0, 1)], [(a, b) for a in range(3) for b in range(3) if a <= b])
+    assert csp._bin[0, 1] == ([0b110, 0b100, 0], [0, 0b1, 0b11])
+    assert tuple(map(list, forms[0, 1])) == compiled and csp._bin[1, 2] is held[1, 2]
+    assert list(csp.solutions(order="index")) == [(0, 1, 0), (0, 1, 2), (0, 2, 0), (0, 2, 1),
+                                                  (1, 2, 0), (1, 2, 1)]
