@@ -28,6 +28,7 @@ from itertools import chain
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .homs import hom_csp
 from .search import CrossCheckError, Csp, Outcome, SearchBudget
 from .structures import (
     CapacityError,
@@ -146,10 +147,8 @@ def _polymorphism_csp(a: RelStructure, n: int) -> Csp:
     cells = a.size**n
     if cells > DEFAULT_TABLE_CAP:
         raise CapacityError(f"table with {cells} cells exceeds cap {DEFAULT_TABLE_CAP}")
-    csp = Csp(cells, a.size)
-    for name, _ in a.signature.rel_names:
-        csp.add_constraint(preservation_scopes(a, name, n), a.relations[name])
-    return csp
+    return hom_csp(cells, {name: preservation_scopes(a, name, n)
+                           for name, _ in a.signature.rel_names}, a)
 
 
 def polymorphisms(a: RelStructure, n: int,
@@ -665,23 +664,23 @@ def find_operation_satisfying(a: RelStructure, system: H1IdentitySystem,
     var_of_root = {r: i for i, r in enumerate(roots)}
     cell_var = [var_of_root[uf.find(x)] for x in range(total)]
 
-    csp = Csp(len(roots), d)
-    for r, i in var_of_root.items():
-        if r in uf.value:
-            csp.assign(i, uf.value[r])
-
     # per symbol, the CSP variable of each of its cells; a scope is a
     # selection's cells read through it, a column at a time, and cells
     # merged by the identities can give two symbols the same scope
     var_of = {name: cell_var[offsets[name]:offsets[name] + d**arity].__getitem__
               for name, arity in system.symbols}
-    for rel_name, k in a.signature.rel_names:
-        rows = a.relations[rel_name]
-        # the kernel compiles the scopes, and their dict is dropped at once
-        csp.add_constraint(dict.fromkeys(chain.from_iterable(
+
+    def scopes(rows, k):
+        # built as the builder reads them, so that one relation's dict of
+        # scopes is held at a time
+        yield from dict.fromkeys(chain.from_iterable(
             zip(*[map(var_of[name], col) for col in block])
             for name, arity in system.symbols
-            for block in selection_columns(d, rows, k, arity))), rows)
+            for block in selection_columns(d, rows, k, arity)))
+
+    csp = hom_csp(len(roots), {name: scopes(a.relations[name], k)
+                               for name, k in a.signature.rel_names},
+                  a, {i: uf.value[r] for r, i in var_of_root.items() if r in uf.value})
 
     outcome, sol = csp.solve(budget=budget)
     nodes = csp.nodes_explored

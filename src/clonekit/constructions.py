@@ -84,15 +84,11 @@ def evaluate_pp(a: RelStructure, phi: PPFormula) -> tuple[tuple[int, ...], ...]:
     to 0."""
     phi.check_against(a.signature)
     n = phi.free_vars + phi.exist_vars
-    csp = Csp(n, a.size)
-    for name, _ in a.signature.rel_names:
-        csp.add_constraint([args for rel, args in phi.atoms if rel == name],
-                           a.relations[name], a._csp_forms.setdefault(name, {}))
-    csp.add_constraint(phi.eq_atoms, [(v, v) for v in range(a.size)])
     mentioned = {v for _, args in phi.atoms for v in args}.union(*phi.eq_atoms)
-    for v in range(phi.free_vars, n):
-        if v not in mentioned:
-            csp.assign(v, 0)
+    csp = hom_csp(n, {name: [args for rel, args in phi.atoms if rel == name]
+                      for name in a.signature.names()}, a,
+                  {v: 0 for v in range(phi.free_vars, n) if v not in mentioned})
+    csp.add_constraint(phi.eq_atoms, [(v, v) for v in range(a.size)])
     return tuple(csp.solutions(project=range(phi.free_vars)))
 
 
@@ -238,19 +234,16 @@ def is_pp_definable(a: RelStructure, rel: Iterable[Sequence[int]], arity: int,
     if not complement or m == 0:
         return PPDefResult(True, True, 0)
     # every CSP below has domain size d, so each relation is compiled once
-    # per equality pattern: a's relations into the memo they share as hom
-    # targets, the complement into one memo of this call
+    # per equality pattern: a's relations by hom_csp into the memo on a,
+    # the complement into one memo of this call
     complement_forms = {}
     for n in range(1, limit + 1):
         if d**n > DEFAULT_TABLE_CAP:
             return PPDefResult(True, False, n - 1)
-        preservation = [(list(preservation_scopes(a, name, n)), a.relations[name],
-                         a._csp_forms.setdefault(name, {}))
-                        for name, _ in a.signature.rel_names]
+        preservation = {name: list(preservation_scopes(a, name, n))
+                        for name, _ in a.signature.rel_names}
         for sel in itertools.combinations(tuples, n):
-            csp = Csp(d**n, d)
-            for scopes, allowed, forms in preservation:
-                csp.add_constraint(scopes, allowed, forms)
+            csp = hom_csp(d**n, preservation, a)
             csp.add_constraint([column_cells(d, sel, arity)], complement,
                                complement_forms)
             outcome, sol = csp.solve(budget=budget)
@@ -457,12 +450,12 @@ def bounded_pp_search(a: RelStructure, b: RelStructure, bounds: PPSearchBounds,
     are those of the unpruned enumeration.
 
     A prefix is checked on a CSP that extends its parent prefix's: each
-    candidate of each relation is compiled once per dimension, through
-    ``hom_csp`` of the power that holds only its tuples, and a prefix's CSP
-    is its parent's conjoined with the last pick's (``Csp.conjoin``), which
-    equals the ``hom_csp`` of the partial power.  A prefix's CSP is built
-    only when its answer is not yet known, and only the CSPs of the last
-    prefix checked are kept.
+    candidate of each relation is compiled once per dimension, by
+    ``hom_csp`` of the instance whose one relation holds its tuples, and a
+    prefix's CSP is its parent's conjoined with the last pick's
+    (``Csp.conjoin``), which equals the ``hom_csp`` of the partial power.
+    A prefix's CSP is built only when its answer is not yet known, and only
+    the CSPs of the last prefix checked are kept.
 
     The budget covers the whole search: ``node_limit`` counts the nodes of
     every prefix and pick search together, and every search and candidate
@@ -527,7 +520,7 @@ def _search_dimension(dom: int, b: RelStructure, candidates, bounds: PPSearchBou
             delta = deltas[i].get(idxs[i])
             if delta is None:
                 delta = deltas[i][idxs[i]] = hom_csp(
-                    _pick_power(dom, b, (candidates[i][idxs[i]],), i), b)
+                    dom, {b.signature.rel_names[i][0]: candidates[i][idxs[i]][2]}, b)
             path.append((idxs[i], path[-1][1].conjoin(delta) if path else delta))
         res = _prefix_search(path[-1][1], b,
                              tuple(map(getitem, candidates, idxs)), budget)
@@ -584,13 +577,12 @@ def _encoded_candidates(a: RelStructure, b: RelStructure, dim: int,
     return candidates
 
 
-def _pick_power(dom: int, b: RelStructure, picks, first: int = 0) -> RelStructure:
-    """The power on ``dom`` elements whose relations ``first``,
-    ``first + 1``, ... of b hold the picked candidates' tuples; the other
-    relations are empty."""
+def _pick_power(dom: int, b: RelStructure, picks) -> RelStructure:
+    """The power on ``dom`` elements whose first relations of b hold the
+    picked candidates' tuples, in order; the other relations are empty."""
     names = b.signature.names()
     rels = dict.fromkeys(names, ())
-    rels.update(zip(names[first:], (item[2] for item in picks)))
+    rels.update(zip(names, (item[2] for item in picks)))
     return RelStructure(dom, b.signature, rels)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .search import (
     BudgetExceededError,
@@ -90,18 +90,21 @@ def is_hom(f: HomMap, c: RelStructure, a: RelStructure) -> bool:
     return True
 
 
-def hom_csp(c: RelStructure, a: RelStructure,
+def hom_csp(size: int, scopes: Mapping[str, Iterable[Sequence[int]]], a: RelStructure,
             pins: Mapping[int, int] | None = None) -> Csp:
-    """The CSP whose solutions are exactly the homomorphisms c -> a.
-
-    The compiled forms of a's relations are memoised on ``a``, so every CSP
-    that targets ``a`` shares them."""
-    _require_same_signature(c, a)
-    csp = Csp(c.size, a.size)
+    """The CSP of Hom(X, a): X is the instance on ``size`` elements whose
+    relation ``name`` holds the tuples ``scopes[name]`` (none when absent),
+    and ``pins`` fixes the images of some elements, each element and value
+    in range or ValueError.  Every CSP clonekit searches is built here;
+    a's relations compile through the memo on ``a``, so all CSPs that
+    target ``a`` share their compiled forms."""
+    csp = Csp(size, a.size)
     for var, val in (pins or {}).items():
+        if not (0 <= var < size and 0 <= val < a.size):
+            raise ValueError(f"pin {var} -> {val} out of range for sizes {size} -> {a.size}")
         csp.assign(var, val)
-    for name, _ in c.signature.rel_names:
-        csp.add_constraint(c.relations[name], a.relations[name],
+    for name, _ in a.signature.rel_names:
+        csp.add_constraint(scopes.get(name, ()), a.relations[name],
                            a._csp_forms.setdefault(name, {}))
     return csp
 
@@ -114,7 +117,8 @@ def find_homomorphism(c: RelStructure, a: RelStructure,
     FOUND carries a verified witness; REFUTED means a completed exhaustive
     refutation; BUDGET means the limits ran out first.
     """
-    csp = hom_csp(c, a, pins)
+    _require_same_signature(c, a)
+    csp = hom_csp(c.size, c.relations, a, pins)
     outcome, sol = csp.solve(budget=budget)
     witness = None
     if outcome is Outcome.FOUND:
@@ -127,7 +131,8 @@ def find_homomorphism(c: RelStructure, a: RelStructure,
 def all_homomorphisms(c: RelStructure, a: RelStructure,
                       budget: SearchBudget | None = None) -> list[HomMap]:
     """Every homomorphism c -> a in lexicographic order of the map vector."""
-    csp = hom_csp(c, a)
+    _require_same_signature(c, a)
+    csp = hom_csp(c.size, c.relations, a)
     return [HomMap(c.size, a.size, sol)
             for sol in csp.solutions(budget=budget, order="index")]
 

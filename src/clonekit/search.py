@@ -28,7 +28,9 @@ solution in smallest-domain-first variable order, or only the distinct
 assignments of chosen variables that extend to a solution: it branches on
 those in the given order and, below each full assignment of them, searches
 smallest-domain-first for one extension.  Projected on every variable this is
-static index order, whose enumeration is lexicographic.
+static index order, whose enumeration is lexicographic.  Every CSP the
+package searches is Hom(X, A) for an instance X and a target A, and is
+built by ``homs.hom_csp``.
 """
 
 from __future__ import annotations

@@ -159,9 +159,9 @@ class RelStructure:
     ``relations`` maps each signature symbol to its canonically sorted tuple
     set.  Instances are immutable and safe to share across threads; the one
     mutable field, ``_csp_forms``, is a cache of compiled CSP forms of the
-    relations over this domain, filled lazily by ``homs.hom_csp``,
-    ``constructions.evaluate_pp`` and ``constructions.is_pp_definable``; the
-    forms are pure functions of the relations and never change once stored.
+    relations over this domain, filled lazily by ``homs.hom_csp``, the one
+    builder of every CSP that targets the structure; the forms are pure
+    functions of the relations and never change once stored.
     """
 
     size: int
@@ -171,7 +171,7 @@ class RelStructure:
         init=False, repr=False, compare=False, hash=False, default=None
     )
     # compiled CSP forms of each relation over this domain, by equality
-    # pattern; filled by homs.hom_csp and the CSPs of constructions
+    # pattern; filled by homs.hom_csp alone
     _csp_forms: dict[str, dict] = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )

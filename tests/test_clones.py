@@ -33,8 +33,10 @@ from clonekit.clones import (
     preservation_scopes,
     seminaive_pools,
 )
-from clonekit.search import Csp
-from clonekit.structures import column_cells, selection_columns
+from clonekit.constructions import PPFormula, evaluate_pp
+from clonekit.homs import all_homomorphisms, hom_csp
+from clonekit.search import BudgetExceededError, Csp
+from clonekit.structures import column_cells, power_structure, selection_columns
 
 from conftest import DISEQ, LE, MINORITY, MIN2, MAX2
 
@@ -226,6 +228,25 @@ def test_siggers_search_drops_its_scopes_once_compiled():
         tracemalloc.stop()
     assert res.outcome is Outcome.REFUTED
     assert peak < 10.8 * 2**20
+
+
+def test_siggers_search_holds_one_relations_scopes_at_a_time():
+    # a second copy of the 7-cycle's edge relation adds about 0.2 MiB to
+    # the Siggers search's peak, and about 3 MiB when the scopes of both
+    # copies are built before the first is compiled
+    import tracemalloc
+
+    edges = cycle(7).relations["edge"]
+    peaks = []
+    for rels in ({"edge": edges}, {"edge": edges, "copy": edges}):
+        tracemalloc.start()
+        try:
+            res = has_siggers(RelStructure.make(7, rels))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert res.outcome is Outcome.REFUTED
+    assert peaks[1] - peaks[0] < 2**20
 
 
 def test_unary_polymorphisms_of_pointed_order(le_struct):
@@ -585,3 +606,51 @@ def test_identity_search_matches_brute_force_on_random_systems():
             if brute:
                 break
         assert res.found == (brute is not None), (trial, system)
+
+
+def streamed(csp, node_limit=2000):
+    """The solutions ``csp`` streams in index order before ``node_limit``
+    nodes, its node count, and whether the stream ended on its own."""
+    sols = []
+    try:
+        for sol in csp.solutions(budget=SearchBudget(node_limit=node_limit), order="index"):
+            sols.append(sol)
+    except BudgetExceededError:
+        return sols, csp.nodes_explored, False
+    return sols, csp.nodes_explored, True
+
+
+def test_polymorphisms_are_the_homomorphisms_from_the_power():
+    # Pol_n(A) = Hom(A^n, A): the CSP over the power's preservation scopes
+    # and the CSP of the materialised power stream the tables of a CSP of
+    # the power compiled without any memo, with its nodes, whether A's memo
+    # of compiled forms starts cold or was filled by a Siggers search and a
+    # pp evaluation.  A search stopped by its node limit must still agree
+    # on what it streamed.
+    import random
+    rng = random.Random(53)
+    for _ in range(40):
+        d = rng.choice((2, 3))
+        rels = {f"r{i}": random_rows(rng, d, rng.randint(1, 3))
+                for i in range(rng.randint(1, 2))}
+        warm = RelStructure.make(d, rels)
+        has_siggers(warm)
+        # each relation on distinct variables, on a repeated one and on
+        # one variable throughout: three equality patterns
+        atoms = []
+        for name, k in warm.signature.rel_names:
+            atoms += [(name, tuple(range(k))), (name, (0,) + (1,) * (k - 1)), (name, (2,) * k)]
+        evaluate_pp(warm, PPFormula(1, 2, tuple(atoms)))
+        assert warm._csp_forms
+        for n in (1, 2, 3):
+            power = power_structure(warm, n)
+            reference = Csp(power.size, d)
+            for name, _ in power.signature.rel_names:
+                reference.add_constraint(power.relations[name], warm.relations[name])
+            want = streamed(reference)
+            for a in (RelStructure.make(d, rels), warm):
+                assert streamed(clonekit.clones._polymorphism_csp(a, n)) == want
+            assert streamed(hom_csp(power.size, power.relations, warm)) == want
+            if want[2]:
+                assert ([f.table for f in all_polymorphisms(warm, n)]
+                        == [h.map for h in all_homomorphisms(power, warm)] == want[0])

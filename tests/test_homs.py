@@ -209,3 +209,16 @@ def test_target_relations_compile_once_per_pattern(monkeypatch, le_struct):
         assert find_homomorphism(x, le_struct).found
     assert sorted(pattern for _, pattern in compiled) == [(0,), (0,), (0, 0), (0, 1)]
     assert len(set(compiled)) == len(compiled)
+
+
+def test_pins_outside_either_domain_raise(k3):
+    # the directed 3-cycle maps into K3; a pin outside the source's
+    # elements or the target's values is an error, not a refutation, and
+    # element -1 does not stand for element 2
+    c3 = RelStructure.make(3, {"edge": [(0, 1), (1, 2), (2, 0)]})
+    assert find_homomorphism(c3, k3, pins={0: 2, 2: 1}).found
+    for pins in ({0: 7}, {-1: 0, 2: 1}, {-1: 0}, {3: 0}, {0: -1}):
+        with pytest.raises(ValueError):
+            find_homomorphism(c3, k3, pins=pins)
+    with pytest.raises(ValueError):
+        clonekit.homs.hom_csp(3, c3.relations, k3, {0: 3})

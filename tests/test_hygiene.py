@@ -78,3 +78,37 @@ def test_orphaned_private_name_check_catches_them():
 def test_no_orphaned_private_names():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert orphaned_private_names(sources) == []
+
+
+def csp_sites(sources: dict[str, str]) -> tuple[list[str], list[str]]:
+    """The modules of ``sources`` that call ``Csp(...)``, and those that
+    name ``_csp_forms``: as a name, an attribute or a string."""
+    builders, memo = set(), set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (func.id if isinstance(func, ast.Name)
+                        else getattr(func, "attr", None)) == "Csp":
+                    builders.add(module)
+            elif (isinstance(node, ast.Name) and node.id == "_csp_forms"
+                    or isinstance(node, ast.Attribute) and node.attr == "_csp_forms"
+                    or isinstance(node, ast.Constant) and node.value == "_csp_forms"):
+                memo.add(module)
+    return sorted(builders), sorted(memo)
+
+
+def test_csp_site_check_catches_them():
+    sources = {
+        "a": "from .search import Csp\ncsp = Csp(2, 2)\n",
+        "b": "from . import search\ncsp = search.Csp(2, 2)\nforms = s._csp_forms\n",
+        "c": "_csp_forms = None\nsetattr(s, '_csp_forms', {})\nCsp\n",
+    }
+    assert csp_sites(sources) == (["a", "b"], ["b", "c"])
+
+
+def test_one_builder_of_csps():
+    # every CSP is a homomorphism instance built by homs.hom_csp, and only
+    # it compiles through the target's memo
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert csp_sites(sources) == (["homs.py", "search.py"], ["homs.py", "structures.py"])
