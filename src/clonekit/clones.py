@@ -86,6 +86,36 @@ def minor_cells(d: int, sigma: Sequence[int], m: int) -> tuple[int, ...]:
     return column_cells(d, [minor_cells(d, (s,), m) for s in sigma], d**m)
 
 
+def _reflect(d: int, h1, h2, sources, budget: SearchBudget | None = None, columns=None):
+    """Tables over a d-element A reflected along h1 and h2 through a power
+    A^N: h1 holds one N-vector over A per element of B, and h2 maps
+    N-vectors over A to its targets.  An n-ary table f goes to the tuple of
+    h2[f(h1[b_1], ..., h1[b_n])], f applied coordinatewise, over the
+    columns (b_1..b_n): ``columns``, or all of B^n in lexicographic order.
+    With h1 the projections of B, a column's cells are
+    ``minor_cells(d, column, |B|)``.
+
+    ``sources`` yields pairs (n, tables), where ``tables(cells)`` gives
+    n-ary tables, whole or restricted to ``cells``, the sorted union of the
+    cells that the columns read.  One tuple is yielded per table, in order,
+    and the deadline is read every ``_CLOCK_EVERY`` tables."""
+    reads, ticks = {}, itertools.count()
+    for n, tables in sources:
+        if n not in reads:
+            per = [column_cells(d, [h1[b] for b in col], len(h1[0]))
+                   for col in (itertools.product(range(len(h1)), repeat=n)
+                               if columns is None else columns)]
+            cells = tuple(sorted(set().union(*per)))
+            at = {c: j for j, c in enumerate(cells)}
+            reads[n] = cells, per, [tuple(map(at.__getitem__, p)) for p in per]
+        cells, per, pos = reads[n]
+        for f in tables(cells):
+            if budget and next(ticks) % _CLOCK_EVERY == 0:
+                budget.check()
+            look = f.__getitem__
+            yield tuple(h2[tuple(map(look, p))] for p in (pos if len(f) == len(cells) else per))
+
+
 def projection(domain_size: int, n: int, i: int) -> OperationTable:
     """The n-ary projection onto the i-th coordinate (1-based i)."""
     if not 1 <= i <= n:

@@ -12,8 +12,8 @@ regroup a kn-ary satisfaction set into k blocks of n coded coordinates.
 Definability of a candidate relation is decided through the polymorphism
 side of the Galois connection: a relation is pp-definable iff no
 polymorphism violates it, and arity |R| suffices for a complete answer.
-Reflections transport operation sets along a pair of maps h1: B -> A,
-h2: A -> B.
+Reflections send f to h2(f(h1(x_1), ..., h1(x_n))) along h1: B -> A and
+h2: A -> B: ``clones._reflect`` through the first power of A.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import Iterable, Mapping, Sequence
 from .clones import (
     DEFAULT_TABLE_CAP,
     OperationTable,
+    _reflect,
     is_polymorphism,
     minor_cells,
     preservation_scopes,
@@ -294,11 +295,10 @@ def reflect_operation(f: OperationTable, maps: ReflectionMaps) -> OperationTable
     """(x_1..x_n) -> h2(f(h1(x_1), ..., h1(x_n))) as a table over B."""
     if f.domain_size != maps.source_size:
         raise ValueError("operation domain does not match h2's domain")
-    b, n = maps.target_size, f.arity
-    # per argument i, h1 of x_i over the valuations of x_1..x_n in B
-    args = [tuple(map(maps.h1.__getitem__, minor_cells(b, (i,), n))) for i in range(n)]
-    cells = column_cells(f.domain_size, args, b**n)
-    return OperationTable(b, n, tuple(maps.h2[f.table[c]] for c in cells))
+    (table,) = _reflect(f.domain_size, [(v,) for v in maps.h1],
+                        {(a,): v for a, v in enumerate(maps.h2)},
+                        [(f.arity, lambda _: (f.table,))])
+    return OperationTable(maps.target_size, f.arity, table)
 
 
 def reflect_operations(ops: Iterable[OperationTable],

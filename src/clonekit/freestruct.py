@@ -9,12 +9,12 @@ from the lifted structure back to B, so coloring search reuses the
 homomorphism engine with the lifted structure as source; strong colorings
 pin the generators to their own indices.
 
-For a clone given as Pol(A), a lifted relation is the image of Pol_m(A)
-under minoring, so it depends only on the table cells that the minors
-read; so do the induced operations that an h1 homomorphism is checked
-through.  Each is read from the distinct restrictions of Pol_m(A) to those
-cells, which the CSP kernel enumerates by projection, each (arity, cells)
-pair searched once per decision.  Only the carrier is all of Pol_|B|(A).
+For Pol(A), lifted relations and induced operations are reflections
+through A^N, N = |A|^|B|, along the projections of B and then the carrier
+index or a coloring (``clones._reflect``).  Each reads only some cells, so
+the h1 oracle reflects the distinct restrictions of Pol_n(A) to them,
+enumerated by projection, each (arity, cells) pair searched once per
+decision.  Only the carrier is all of Pol_|B|(A).
 
 For a generated clone, the closure kernel of ``clones`` computes both the
 carrier (``generate_to_arity``) and the lifted relations: there each
@@ -39,6 +39,7 @@ from .clones import (
     OperationTable,
     OpSearchResult,
     _closure_of_tuples,
+    _reflect,
     all_polymorphisms,
     generate_to_arity,
     has_siggers,
@@ -200,27 +201,19 @@ def _restrictions_by_cells(a: RelStructure, budget: SearchBudget | None) -> dict
     return _Memo(lambda key: list(polymorphism_restrictions(a, *key, budget)))
 
 
-def _cells_read(minors: list[tuple[int, ...]]) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """The sorted union of the cells that ``minors`` read and, per minor,
-    the positions of its cells in that union."""
-    cells = tuple(sorted(set().union(*minors)))
-    at = {c: i for i, c in enumerate(cells)}
-    return cells, [tuple(map(at.__getitem__, m)) for m in minors]
-
-
 def free_structure_over_polymorphisms(a: RelStructure, b: RelStructure,
                                       budget: SearchBudget | None = None,
                                       restrictions: dict | None = None) -> FreeStructure:
     """Free structure of Pol(a) over b.
 
     The carrier is every |B|-ary polymorphism.  A lifted relation with m
-    tuples is the image of Pol_m(a) under per-column minoring, since the
-    closure of the generator tuples under a composition-closed clone is
-    reached in one application.  It depends only on the cells the minors
-    read, so it is read from the distinct restrictions of Pol_m(a) to the
-    union of those cells, one lifted tuple each.  ``restrictions``, from
-    ``_restrictions_by_cells(a, ...)``, shares those searches with the
-    caller; it changes no result.
+    tuples is Pol_m(a) reflected into the carrier at the relation's
+    columns, since the closure of the generator tuples under a
+    composition-closed clone is reached in one application.  The reflection
+    reads only some cells, so it reflects the distinct restrictions of
+    Pol_m(a) to the union of those cells, one lifted tuple each.
+    ``restrictions``, from ``_restrictions_by_cells(a, ...)``, shares those
+    searches with the caller; it changes no result.
     """
     d = a.size
     nb = b.size
@@ -231,9 +224,10 @@ def free_structure_over_polymorphisms(a: RelStructure, b: RelStructure,
         restrictions = _restrictions_by_cells(a, budget)
     carrier = tuple(OperationTable(d, nb, t) for t in restrictions[nb, tuple(range(d**nb))])
     index = {op.table: i for i, op in enumerate(carrier)}
-    gen_index = tuple(index[minor_cells(d, (v,), nb)] for v in range(nb))
+    projections = [minor_cells(d, (v,), nb) for v in range(nb)]
+    gen_index = tuple(map(index.__getitem__, projections))
     lifted = {}
-    for name, k in b.signature.rel_names:
+    for name, _ in b.signature.rel_names:
         rows = b.relations[name]
         m = len(rows)
         if m == 0:
@@ -242,16 +236,9 @@ def free_structure_over_polymorphisms(a: RelStructure, b: RelStructure,
         if d**m > DEFAULT_TABLE_CAP:
             raise CapacityError(f"lifting {name!r} needs arity-{m} polymorphisms, "
                                 f"over cap {DEFAULT_TABLE_CAP}")
-        # per column j, the cells of the nb-ary minor f(x_{row[j]} for row in rows)
-        cells, minors = _cells_read([minor_cells(d, [row[j] for row in rows], nb)
-                                     for j in range(k)])
-        out = []
-        for i, r in enumerate(restrictions[m, cells]):
-            if budget and i % _CLOCK_EVERY == 0:
-                budget.check()
-            look = r.__getitem__
-            out.append(tuple(index[tuple(map(look, pos))] for pos in minors))
-        lifted[name] = tuple(sorted(out))
+        lifted[name] = tuple(sorted(_reflect(
+            d, projections, index, [(m, lambda cells: restrictions[m, cells])], budget,
+            columns=list(zip(*rows)))))
     return FreeStructure(d, b, carrier, gen_index, lifted, "polymorphisms")
 
 
@@ -292,50 +279,21 @@ def clone_members_to_arity(gen_or_structure, max_arity: int,
     return out
 
 
-def _argument_minors(d: int, n: int, nb: int) -> list[tuple[int, ...]]:
-    """Per argument map (b1..bn) in B^n, the cells of the minor f(x_b1..x_bn)
-    of an n-ary table over a d-element domain."""
-    return [minor_cells(d, bs, nb) for bs in itertools.product(range(nb), repeat=n)]
-
-
 def induced_operations(free: FreeStructure, coloring: Coloring, members: list[OperationTable],
                        budget: SearchBudget | None = None) -> list[OperationTable]:
-    """The operations on B induced by a coloring: f'(b1..bn) = c(f(pi_b1..pi_bn)).
+    """The operations on B induced by a coloring: f'(b1..bn) = c(f(pi_b1..pi_bn)),
+    each member reflected along the projections of B and the coloring.
 
     This is the constructive content of the coloring-to-h1-homomorphism
     direction; each induced operation should be a polymorphism of B.
+    Constants are skipped: they enter the carrier as constant tables.
     """
-    nb = free.b.size
-    index = free.carrier_index()
-    minors = _Memo(lambda n: _argument_minors(free.domain_size, n, nb))
-    out = []
-    for i, f in enumerate(members):
-        if budget and i % _CLOCK_EVERY == 0:
-            budget.check()
-        if f.arity == 0:
-            continue  # constants enter the carrier as constant tables
-        look = f.table.__getitem__
-        table = tuple(coloring.map[index[tuple(map(look, cells))]]
-                      for cells in minors[f.arity])
-        out.append(OperationTable(nb, f.arity, table))
-    return out
-
-
-def _induced_by_restrictions(free: FreeStructure, coloring: Coloring,
-                             restrictions: dict, budget: SearchBudget | None):
-    """The tables ``induced_operations`` gives the members of arity 1..3 of
-    Pol(a), one per distinct restriction of Pol_n(a) to the cells that the
-    minors of its induced tables read; every induced table is among them."""
-    nb = free.b.size
-    index = free.carrier_index()
-    for n in range(1, 4):
-        cells, minors = _cells_read(_argument_minors(free.domain_size, n, nb))
-        for i, r in enumerate(restrictions[n, cells]):
-            if budget and i % _CLOCK_EVERY == 0:
-                budget.check()
-            look = r.__getitem__
-            yield OperationTable(nb, n, tuple(coloring.map[index[tuple(map(look, pos))]]
-                                              for pos in minors))
+    members = [f for f in members if f.arity]
+    h1 = [free.carrier[i].table for i in free.gen_index]
+    h2 = {t: coloring.map[i] for t, i in free.carrier_index().items()}
+    tables = _reflect(free.domain_size, h1, h2,
+                      [(f.arity, lambda _, f=f: (f.table,)) for f in members], budget)
+    return [OperationTable(free.b.size, f.arity, t) for f, t in zip(members, tables)]
 
 
 @dataclass(frozen=True)
@@ -356,7 +314,7 @@ def h1_homomorphism_exists(a: RelStructure, b: RelStructure,
 
     Decided as: Pol(a) is b-colorable.  On success every operation induced
     from a member of arity 1..3 is re-verified to be a polymorphism of b,
-    each distinct table once, read from restrictions of Pol_n(a); the list
+    each distinct table once, reflected from restrictions of Pol_n(a); the list
     per member is left to ``induced_operations``.  Each (arity, cells)
     restriction that the lifting and the check read is searched once.  The
     budget's deadline bounds the whole decision, and a budget that runs out
@@ -368,7 +326,11 @@ def h1_homomorphism_exists(a: RelStructure, b: RelStructure,
         res = find_coloring(free, strong=False, budget=budget)
         if res.outcome is not Outcome.FOUND:
             return H1Result(res.outcome, free, nodes=res.nodes)
-        induced = set(_induced_by_restrictions(free, res.coloring, restrictions, budget))
+        h1 = [free.carrier[i].table for i in free.gen_index]
+        h2 = {t: res.coloring.map[i] for t, i in free.carrier_index().items()}
+        induced = {OperationTable(b.size, n, t) for n in range(1, 4)
+                   for t in _reflect(a.size, h1, h2, [(n, lambda cells: restrictions[n, cells])],
+                                     budget)}
         for i, op in enumerate(induced):
             if budget and i % _CLOCK_EVERY == 0:
                 budget.check()

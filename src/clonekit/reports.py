@@ -12,7 +12,6 @@ not.
 from __future__ import annotations
 
 import hashlib
-import json
 
 from . import __version__ as _version
 from .clones import (
@@ -31,17 +30,15 @@ from .constructions import PPFormula, PPPowerSpec, pp_power
 from .freestruct import (
     Coloring,
     FreeStructure,
+    clone_members_to_arity,
     free_structure,
     free_structure_over_polymorphisms,
+    induced_operations,
     verify_coloring,
 )
 from .homs import HomMap, is_hom
 from .maltsev import HMChain, verify_hm_chain
-from .structures import RelStructure, structure_from_dict, structure_to_dict
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+from .structures import RelStructure, canonical_json, structure_from_dict, structure_to_dict
 
 
 def digest(obj) -> str:
@@ -270,9 +267,15 @@ def _verify_coloring_style(command, report, inputs, verdict, certs, problems,
         if verdict == "exists":
             check_coloring(certs)
             b = structure_from_dict(inputs["target"])
-            for op in {operation_from_dict(o) for o in certs.get("induced", [])}:
+            induced = [operation_from_dict(o) for o in certs.get("induced", [])]
+            for op in set(induced):
                 _check(problems, is_polymorphism(op, b),
                        "induced operation is not a polymorphism of the target")
+            if recompute:
+                members = clone_members_to_arity(structure_from_dict(inputs["structure"]), 3)
+                _check(problems, induced == induced_operations(
+                    free_from_dict(certs["free"]), coloring_from_dict(certs["coloring"]), members),
+                    "induced operations do not match recomputation")
     elif command == "maltsev":
         if "coloring" in certs:
             check_coloring(certs)

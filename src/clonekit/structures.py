@@ -316,9 +316,13 @@ def structure_from_dict(obj) -> RelStructure:
     return RelStructure(size, Signature.of(pairs), rels)
 
 
-def serialize_structure(a: RelStructure) -> str:
+def canonical_json(obj) -> str:
     """Canonical JSON text: sorted keys, no whitespace, '\\n'-terminated."""
-    return json.dumps(structure_to_dict(a), sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def serialize_structure(a: RelStructure) -> str:
+    return canonical_json(structure_to_dict(a))
 
 
 class _CompactParser:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -24,6 +25,7 @@ from clonekit import (
 import clonekit.clones
 from clonekit.clones import (
     SIGGERS_SYSTEM,
+    _reflect,
     H1IdentitySystem,
     FlatTerm,
     cyclic_system,
@@ -152,6 +154,42 @@ def test_preserves_matches_pointwise_application():
     assert answers == {True, False}
 
 
+class _RandomMap(dict):
+    """A random map of N-vectors to {0..size-1}, drawn on first lookup."""
+
+    def __init__(self, rng, size):
+        self.rng, self.size = rng, size
+
+    def __missing__(self, vector):
+        value = self[vector] = self.rng.randrange(self.size)
+        return value
+
+
+def test_reflection_kernel_matches_pointwise_application():
+    # an oracle apart from the kernel: each reflected cell is h2 of the
+    # N-vector that OperationTable.apply gives coordinate by coordinate, for
+    # h1 of N = 1 and for the projections of B (N = d**|B|), at all of B^n
+    # and at a random list of columns, from whole and restricted tables
+    rng = random.Random(2207)
+    for _ in range(80):
+        d, n, nb = rng.randint(2, 4), rng.randint(0, 3), rng.randint(1, 3)
+        f = OperationTable(d, n, tuple(rng.randrange(d) for _ in range(d**n)))
+        h2 = _RandomMap(rng, nb)
+        every = list(itertools.product(range(nb), repeat=n))
+        some = [rng.choice(every) for _ in range(rng.randint(1, 4))]
+        for h1 in ([(rng.randrange(d),) for _ in range(nb)],
+                   [minor_cells(d, (b,), nb) for b in range(nb)]):
+            for columns in (None, some):
+                expected = tuple(h2[tuple(f.apply(*(h1[b][p] for b in col))
+                                          for p in range(len(h1[0])))]
+                                 for col in (every if columns is None else columns))
+                whole = lambda cells: [f.table]
+                restricted = lambda cells: [tuple(f.table[c] for c in cells)]
+                got = list(_reflect(d, h1, h2, [(n, whole), (n, restricted)],
+                                    columns=columns))
+                assert got == [expected, expected], (d, n, h1, columns)
+
+
 def cycle(n):
     edges = [(i, (i + 1) % n) for i in range(n)]
     return RelStructure.make(n, {"edge": edges + [(b, a) for a, b in edges]})
@@ -215,8 +253,9 @@ def test_preservation_scopes_hold_one_block_at_a_time():
 
 
 def test_siggers_search_drops_its_scopes_once_compiled():
-    # the 7-cycle's Siggers search peaks at about 10.1 MiB; keeping the
-    # dict of its 14**4 scopes through the search takes it to about 11.4
+    # the 7-cycle's Siggers search peaks at about 5.1 MiB under
+    # tracemalloc; keeping the dict of its 14**4 scopes through the search
+    # takes it to about 6.4
     import tracemalloc
 
     c7 = cycle(7)
@@ -227,7 +266,7 @@ def test_siggers_search_drops_its_scopes_once_compiled():
     finally:
         tracemalloc.stop()
     assert res.outcome is Outcome.REFUTED
-    assert peak < 10.8 * 2**20
+    assert peak < 5.8 * 2**20
 
 
 def test_siggers_search_holds_one_relations_scopes_at_a_time():

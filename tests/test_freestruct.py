@@ -521,10 +521,17 @@ def test_h1_enumerates_each_polymorphism_arity_once(monkeypatch, tmp_path, k3s):
 
 def test_h1_rejects_a_repeated_bad_induced_operation(monkeypatch, k3s):
     # each distinct induced table is checked once; a bad table that appears
-    # twice must still raise
-    constant = OperationTable(3, 1, (0, 0, 0))
-    monkeypatch.setattr(clonekit.freestruct, "_induced_by_restrictions",
-                        lambda *args: [constant, constant])
+    # twice must still raise.  The reflection kernel is forged where the
+    # check calls it, at all of B^n; the lifting reads its relations' columns
+    reflect = clonekit.freestruct._reflect
+
+    def forged(d, h1, h2, sources, budget=None, columns=None):
+        if columns is not None:
+            return reflect(d, h1, h2, sources, budget, columns)
+        (n, _), = sources
+        return [(0,) * 3**n] * 2
+
+    monkeypatch.setattr(clonekit.freestruct, "_reflect", forged)
     with pytest.raises(clonekit.CrossCheckError):
         h1_homomorphism_exists(k3s, k3s)
 
@@ -587,9 +594,14 @@ def test_h1_oracle_reads_restrictions_as_full_lists_would():
         assert free.lifted == lifted, (a, b)
         coloring = Coloring(tuple(rng.randrange(b.size) for _ in carrier), False)
         members = clone_members_to_arity(a, 3)
-        from_restrictions = clonekit.freestruct._induced_by_restrictions(
-            free, coloring, restrictions, None)
-        assert set(from_restrictions) == set(induced_operations(free, coloring, members)), (a, b)
+        # the h1 check's reflection of the restrictions, as the oracle calls it
+        h1 = [free.carrier[i].table for i in free.gen_index]
+        h2 = {op.table: c for op, c in zip(free.carrier, coloring.map)}
+        from_restrictions = {
+            OperationTable(b.size, n, t) for n in range(1, 4)
+            for t in clonekit.clones._reflect(a.size, h1, h2,
+                                              [(n, lambda cells: restrictions[n, cells])])}
+        assert from_restrictions == set(induced_operations(free, coloring, members)), (a, b)
         seen["core" if core_of(a).core.size == a.size else "not a core"] += 1
         seen["size 4"] += a.size == 4
         seen["target size 3"] += b.size == 3

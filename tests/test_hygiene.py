@@ -112,3 +112,54 @@ def test_one_builder_of_csps():
     # it compiles through the target's memo
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert csp_sites(sources) == (["homs.py", "search.py"], ["homs.py", "structures.py"])
+
+
+def uncalled_exports(init: str, sources: dict[str, str]) -> list[str]:
+    """The names that ``init`` imports from the package's modules, in
+    order, that no module of ``sources`` reads as a name or an attribute
+    outside the module-level statement that defines that same name."""
+    read = set()
+    for source in sources.values():
+        for stmt in ast.parse(source).body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    read.add(name)
+    exported = [alias.asname or alias.name for stmt in ast.parse(init).body
+                if isinstance(stmt, ast.ImportFrom) for alias in stmt.names]
+    return [name for name in exported if name not in read]
+
+
+def test_uncalled_export_check_catches_them():
+    init = "from .a import used, alone, recursive\nfrom .b import by_attribute\n"
+    sources = {
+        "a": ("def used():\n    return 1\n"
+              "def alone():\n    return used()\n"
+              "def recursive():\n    return recursive()\n"),
+        "b": "from . import a\nfrom .a import alone\ndef by_attribute():\n    pass\n"
+             "x = a.by_attribute\n",
+    }
+    assert uncalled_exports(init, sources) == ["alone", "recursive"]
+
+
+# Public functions that nothing in src/ calls: each should gain a caller or
+# leave the package, and no other may join them.  bounded_pp_search is
+# called by the benchmark and named only in a docstring here.
+UNCALLED_API = [
+    "compose", "has_cyclic", "bounded_pp_search", "check_pp_constructible",
+    "identity_power_spec", "reflect_operations", "verify_pp_interpretation",
+    "add_singletons", "all_homomorphisms", "find_isomorphism", "power_structure",
+    "serialize_structure",
+]
+
+
+def test_uncalled_public_api_cannot_grow():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))
+               if p.name != "__init__.py"}
+    assert uncalled_exports((SRC / "__init__.py").read_text(), sources) == UNCALLED_API

@@ -133,3 +133,23 @@ def test_verify_rejects_a_repeated_bad_induced_operation(tmp_path):
     constant = {"domain_size": 3, "arity": 1, "table": [0, 0, 0]}
     bad["certificates"]["induced"][:2] = [constant, dict(constant)]
     assert "induced operation is not a polymorphism of the target" in verify_report(bad)
+
+
+def test_verify_recomputes_the_induced_operations(tmp_path):
+    # le with both singletons to itself: every induced table replaced by the
+    # first projection of its arity is still a polymorphism, so only the
+    # recomputed reflection of Pol_1..3 tells the forged list apart
+    runner, files = _setup(tmp_path)
+    le = tmp_path / "le.json"
+    le.write_text("size 2; le/2 = {(0,0),(0,1),(1,1)}; s0/1 = {0}; s1/1 = {1};")
+    report = _report_for(runner, tmp_path, ["h1", str(le), "--target", str(le)], "h1le")
+    induced = report["certificates"]["induced"]
+    assert report["verdict"] == "exists" and len(induced) == 23
+    assert verify_report(report) == []
+    bad = copy.deepcopy(report)
+    for op in bad["certificates"]["induced"]:
+        n = op["arity"]
+        op["table"] = [c >> (n - 1) for c in range(2**n)]  # x_1 of x_1..x_n
+    assert bad["certificates"]["induced"] != induced
+    assert verify_report(bad, recompute=False) == []
+    assert verify_report(bad) == ["induced operations do not match recomputation"]
