@@ -431,13 +431,16 @@ def _closure_of_tuples(seeds, generators, cayleys, f: int, d: int,
     (``_PythonBody``); either body runs the same rounds.  The budget's
     deadline is read each round and about every ``_CLOCK_EVERY`` (Python)
     or ``_BLOCK`` (numpy) results; past ``DEFAULT_TABLE_CAP`` tuples,
-    CapacityError is raised.
+    CapacityError is raised.  Once the closure holds all f**k tuples, the
+    whole power, the rounds end after those two checks: a further round
+    could find nothing new.
     """
     seeds = set(seeds)
     if not seeds:
         return ()
     k = len(next(iter(seeds)))
-    vector = (d == 2 and f**k <= _DENSE_CELLS
+    whole = f**k  # the number of k-tuples
+    vector = (d == 2 and whole <= _DENSE_CELLS
               and all(isinstance(rows, list) for rows in cayleys))
     body = (_NumpyBody if vector else _PythonBody)(cayleys, f, k)
     seen, frontier = body.start(seeds)
@@ -447,6 +450,8 @@ def _closure_of_tuples(seeds, generators, cayleys, f: int, d: int,
             budget.check()
         if size > DEFAULT_TABLE_CAP:
             raise CapacityError(f"closure exceeds the cap of {DEFAULT_TABLE_CAP} tuples")
+        if size == whole:  # every k-tuple is seen: no round can add one
+            break
         every = body.join(frontier, old)
         found = body.marks()
         for g, rows in zip(generators, body.tables):

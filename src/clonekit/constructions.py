@@ -287,9 +287,6 @@ class ReflectionMaps:
     def target_size(self) -> int:  # |B|
         return len(self.h1)
 
-    def is_retraction(self) -> bool:
-        return all(self.h2[self.h1[b]] == b for b in range(self.target_size))
-
 
 def reflect_operation(f: OperationTable, maps: ReflectionMaps) -> OperationTable:
     """(x_1..x_n) -> h2(f(h1(x_1), ..., h1(x_n))) as a table over B."""

@@ -19,9 +19,10 @@ decision.  Only the carrier is all of Pol_|B|(A).
 For a generated clone, the closure kernel of ``clones`` computes both the
 carrier (``generate_to_arity``) and the lifted relations: there each
 generator acts on tuples of carrier indices through its Cayley table over
-the carrier, built once per free structure.  On a two-element domain the
-table is filled in numpy a row of results at a time, and each result is
-found among the carrier by its cells read as one byte string.
+the carrier, built once per free structure.  Whenever a generator's cell
+codes fit in a byte, at any domain size, a row of that table is filled by
+big-integer addition and one byte translation per result, and each result
+is found among the carrier by its cells read as one byte string.
 """
 
 from __future__ import annotations
@@ -116,62 +117,41 @@ def _cayley(g: OperationTable, tables, index, budget: SearchBudget | None):
     """Cayley table of ``g`` over the carrier: ``rows[h][j]`` is the carrier
     index of g applied to the head arguments whose carrier indices, read as
     base-|F| digits, give h, and to carrier element j last.  Filled lazily
-    from a memo when its |F|^arity cells exceed ``clones._DENSE_CELLS``; on
-    a two-element domain a dense table is filled in numpy, a row at a time
-    (``_cayley_rows_numpy``).  A result outside the carrier raises KeyError.
-    The budget's deadline is read once per row."""
+    from a memo when its |F|^arity cells exceed ``clones._DENSE_CELLS``,
+    otherwise whole; both fill a row through one ``cells(head)``.
+
+    When g's d^arity cells fit in a byte, a table is one big-endian integer
+    of byte cells.  A row's head code, d times the code of the head
+    arguments' cells, is read the same way and added to each carrier
+    integer; no cell carries, as each stays below d^arity.  Translating the
+    sum's bytes through g's table gives the result's cells, which are found
+    among the carrier's by their bytes.  Otherwise a result is found cell by
+    cell.  A result outside the carrier raises KeyError.  The budget's
+    deadline is read once per row."""
     d, n, f, width = g.domain_size, g.arity, len(tables), len(tables[0])
-    look = g.table.__getitem__
+    if d**n <= 256:
+        keys = {bytes(t): i for t, i in index.items()}
+        numbers = [int.from_bytes(bytes(t), "big") for t in tables]
+        translation = bytes(g.table).ljust(256, b"\0")
+
+        def row(codes):
+            code = int.from_bytes(bytes(codes), "big")
+            return lambda j: keys[(code + numbers[j]).to_bytes(width, "big").translate(translation)]
+    else:
+        look = g.table.__getitem__
+
+        def row(codes):
+            return lambda j: index[tuple(map(look, map(add, codes, tables[j])))]
 
     def cells(head):  # the row of these head arguments, as a function of j
         if budget:
             budget.check()
-        codes = shifted_codes(d, [tables[i] for i in head], width)
-        return lambda j: index[tuple(map(look, map(add, codes, tables[j])))]
+        return row(shifted_codes(d, [tables[i] for i in head], width))
 
     if f**n > clones._DENSE_CELLS:
         return _Memo(lambda h: _Memo(cells([h // f**p % f for p in range(n - 2, -1, -1)])))
-    if d == 2:
-        return _cayley_rows_numpy(g, tables, budget)
     return [list(map(cells(head), range(f)))
             for head in itertools.product(range(f), repeat=n - 1)]
-
-
-def _cayley_rows_numpy(g: OperationTable, tables, budget: SearchBudget | None) -> list:
-    """The dense Cayley table of a two-element ``g`` over the carrier
-    ``tables``, a row of |F| results at a time.  The carrier is an (|F|,
-    width) array of 0/1 bytes; a row's head code is the head arguments'
-    cells read as binary digits, doubled, so adding the carrier gives the
-    cells of g for every last argument at once.  A result or carrier table
-    is keyed by its own bytes as one fixed-width byte string, which compare
-    in table order at any width.  A result is found by ``searchsorted``
-    among the sorted carrier keys, and one whose key is not there raises
-    KeyError, as a dict lookup of its table would."""
-    import numpy as np
-
-    carrier = np.array(tables, dtype=np.uint8)
-    f, width = carrier.shape
-    key = f"S{width}"
-    carrier_keys = carrier.view(key).ravel()
-    order = np.argsort(carrier_keys, kind="stable")
-    sorted_keys = carrier_keys[order]
-    op = np.array(g.table, dtype=np.uint8)
-    out = []
-    for head in itertools.product(range(f), repeat=g.arity - 1):
-        if budget:
-            budget.check()
-        code = np.zeros(width, dtype=np.intp)
-        for i in head:
-            code += carrier[i]
-            code *= 2
-        results = op.take(code + carrier)
-        found = results.view(key).ravel()
-        pos = np.searchsorted(sorted_keys, found).clip(max=f - 1)
-        missing = np.flatnonzero(sorted_keys[pos] != found)
-        if missing.size:
-            raise KeyError(tuple(results[missing[0]].tolist()))
-        out.append(order[pos].tolist())
-    return out
 
 
 def free_structure(gen: CloneGenSet, b: RelStructure,

@@ -236,12 +236,6 @@ class RelStructure:
     def tuple_set(self, name: str) -> frozenset:
         return self._sets[name]
 
-    def rename(self, mapping: Mapping[str, str]) -> "RelStructure":
-        """Relabel relation symbols (used when aligning signatures)."""
-        pairs = [(mapping.get(n, n), a) for n, a in self.signature.rel_names]
-        rels = {mapping.get(n, n): self.relations[n] for n in self.relations}
-        return RelStructure(self.size, Signature.of(pairs), rels)
-
     def induced(self, subset: Sequence[int]) -> "RelStructure":
         """Induced substructure on ``subset``, re-indexed to {0..len-1}.
 

@@ -32,7 +32,7 @@ from clonekit import (
     verify_coloring,
 )
 from clonekit.cli import main
-from clonekit.clones import is_polymorphism, minor_cells, operation_to_dict
+from clonekit.clones import _closure_of_tuples, is_polymorphism, minor_cells, operation_to_dict
 from clonekit.freestruct import Coloring, _cayley, clone_members_to_arity, induced_operations
 from clonekit.structures import serialize_structure
 
@@ -449,30 +449,50 @@ def test_lattice_day_free_structure_stays_within_its_memory_bound(lattice_clone)
     assert peak < 4.5 * 2**20
 
 
-def test_two_element_cayley_rows_match_the_python_fill(monkeypatch):
-    # the numpy fill against the per-cell Python fill of lazy tables, row by
-    # row: random generators over all tables of |B| = 2..4 arguments (a
-    # carrier closed under anything), and the carrier of min at |B| = 7,
-    # whose 128 cells overflow a base-2 int64 key
+def test_cayley_rows_match_pointwise_application(monkeypatch):
+    # every row, filled whole and lazily, against g applied cell by cell to
+    # the argument tables: random generators over all tables of a few
+    # arguments (a carrier closed under anything) at d = 2, 3 and 4, the
+    # carrier of min at |B| = 7, whose 128 cells overflow a base-2 int64
+    # key, codes of exactly 256 values, and generators whose d^arity codes
+    # do not fit in a byte
     rng = random.Random(53)
+
+    def all_tables(d, nb):
+        return list(itertools.product(range(d), repeat=d**nb))
+
+    def random_op(d, n):
+        return OperationTable(d, n, tuple(rng.randrange(d) for _ in range(d**n)))
+
     cases = []
-    for nb, arities in ((2, (1, 2, 3)), (3, (1, 2)), (4, (1,))):
-        tables = list(itertools.product((0, 1), repeat=2**nb))
-        for n in arities:
-            cases.append((OperationTable(2, n, tuple(rng.randrange(2) for _ in range(2**n))),
-                          tables))
+    for d, nb, arities in ((2, 2, (1, 2, 3)), (2, 3, (1, 2)), (2, 4, (1,)), (2, 0, (8, 9)),
+                           (3, 1, (1, 2, 3)), (3, 2, (1,)), (3, 0, (5, 6)),
+                           (4, 1, (1, 2)), (4, 0, (4, 5))):
+        cases += [(random_op(d, n), all_tables(d, nb)) for n in arities]
     cases.append((MIN2, [op.table for op in generate_to_arity(CloneGenSet.of(2, [MIN2]), 7)]))
+    # min of the first two of six arguments over the carrier {x, y, min(x, y)}
+    min6 = OperationTable(3, 6, tuple(min(args[:2]) for args in
+                                      itertools.product(range(3), repeat=6)))
+    cases.append((min6, [op.table for op in generate_to_arity(CloneGenSet.of(3, [min6]), 2)]))
     for g, tables in cases:
+        d, n, f = g.domain_size, g.arity, len(tables)
         index = {t: i for i, t in enumerate(tables)}
+        # the table lists g's values in lexicographic order of the arguments
+        value = dict(zip(itertools.product(range(d), repeat=n), g.table))
+        want = [[index[tuple(map(value.__getitem__, zip(*(tables[i] for i in (*head, j)))))]
+                 for j in range(f)]
+                for head in itertools.product(range(f), repeat=n - 1)]
         rows = _cayley(g, tables, index, None)
+        assert isinstance(rows, list) and rows == want, g
+        assert {type(v) for v in rows[-1]} == {int}
         with monkeypatch.context() as m:
             m.setattr(clonekit.clones, "_DENSE_CELLS", 0)
             lazy = _cayley(g, tables, index, None)
-        assert isinstance(rows, list) and len(rows) == len(tables)**(g.arity - 1)
-        for h, row in enumerate(rows):
-            assert row == [lazy[h][j] for j in range(len(tables))]
-        assert {type(v) for v in rows[-1]} == {int}
-    assert {len(tables[0]) for _, tables in cases} == {4, 8, 16, 128}
+        assert isinstance(lazy, dict)
+        assert [[lazy[h][j] for j in range(f)] for h in range(len(want))] == want, g
+    assert {len(tables[0]) for _, tables in cases} == {1, 3, 4, 8, 9, 16, 128}
+    assert 256 in {g.domain_size**g.arity for g, _ in cases}  # the most codes a byte holds
+    assert {g.domain_size for g, _ in cases if g.domain_size**g.arity > 256} == {2, 3, 4}
 
 
 def test_two_element_cayley_rejects_a_result_outside_the_carrier():
@@ -483,6 +503,48 @@ def test_two_element_cayley_rejects_a_result_outside_the_carrier():
     rest = tables[1:]
     with pytest.raises(KeyError):
         _cayley(MIN2, rest, {t: i for i, t in enumerate(rest)}, None)
+
+
+def test_closure_stops_once_it_holds_the_whole_power(monkeypatch):
+    # lifted le of x - y + z mod 3 over the three-element chain holds all
+    # 9**2 pairs of its nine-element carrier after two rounds; a third round
+    # would apply the generator to every triple of pairs and find nothing
+    maltsev = OperationTable(3, 3, tuple((x - y + z) % 3 for x, y, z in
+                                         itertools.product(range(3), repeat=3)))
+    tables = [op.table for op in generate_to_arity(CloneGenSet.of(3, [maltsev]), 3)]
+    f, index = len(tables), {t: i for i, t in enumerate(tables)}
+    rows = [[index[tuple(maltsev.apply(*cells) for cells in zip(tables[a], tables[b], tables[c]))]
+             for c in range(f)] for a, b in itertools.product(range(f), repeat=2)]
+    seeds = [(index[projection(3, 3, x + 1).table], index[projection(3, 3, y + 1).table])
+             for x in range(3) for y in range(x, 3)]
+    naive = set(seeds)
+    while True:
+        more = {(rows[a * f + b][c], rows[p * f + q][r])
+                for a, p in naive for b, q in naive for c, r in naive}
+        if more <= naive:
+            break
+        naive |= more
+    assert len(naive) == f**2 == 81
+
+    cl, sizes, seen = clonekit.clones, [], []
+    start, apply = cl._PythonBody.start, cl._PythonBody.apply
+
+    def spy_start(self, tuples):
+        state = start(self, tuples)
+        seen.append(state[0])
+        return state
+
+    def spy_apply(self, *args):
+        sizes.append(len(seen[-1]))
+        return apply(self, *args)
+
+    monkeypatch.setattr(cl._PythonBody, "start", spy_start)
+    monkeypatch.setattr(cl._PythonBody, "apply", spy_apply)
+    assert _closure_of_tuples(seeds, [maltsev], [rows], f, 3) == tuple(sorted(naive))
+    assert sizes and max(sizes) < f**2 and len(seen[-1]) == f**2
+    monkeypatch.setattr(cl, "DEFAULT_TABLE_CAP", f**2 - 1)
+    with pytest.raises(CapacityError):
+        _closure_of_tuples(seeds, [maltsev], [rows], f, 3)
 
 
 def test_h1_enumerates_each_polymorphism_arity_once(monkeypatch, tmp_path, k3s):
