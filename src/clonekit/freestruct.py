@@ -22,7 +22,12 @@ generator acts on tuples of carrier indices through its Cayley table over
 the carrier, built once per free structure.  Whenever a generator's cell
 codes fit in a byte, at any domain size, a row of that table is filled by
 big-integer addition and one byte translation per result, and each result
-is found among the carrier by its cells read as one byte string.
+is found among the carrier by its cells read as one byte string.  A
+relation of B that is the image of an earlier one under a permutation of B
+is lifted by relabeling, not by a closure: the permutation, found by
+``homs.find_isomorphism``, acts on the carrier as a minor that commutes with
+every operation of the clone, so it carries the one lifted relation onto the
+other.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from .clones import (
     polymorphism_restrictions,
     projection,
 )
-from .homs import find_homomorphism
+from .homs import find_homomorphism, find_isomorphism
 from .search import BudgetExceededError, CrossCheckError, Outcome, SearchBudget
 from .structures import CapacityError, RelStructure, shifted_codes
 
@@ -157,8 +162,16 @@ def _cayley(g: OperationTable, tables, index, budget: SearchBudget | None):
 def free_structure(gen: CloneGenSet, b: RelStructure,
                    budget: SearchBudget | None = None) -> FreeStructure:
     """Free structure of a generated clone over b, computed to fixpoint.
-    Every closure reads the budget's deadline; past it BudgetExceededError
-    is raised."""
+
+    A relation R of b that is sigma(R') for a permutation sigma of b and a
+    relation R' lifted earlier by a closure is not closed again: the minor
+    t -> t(x_sigma(0), ..., x_sigma(|B|-1)) permutes the carrier, commutes
+    with the clone's operations and sends the projection of v to that of
+    sigma(v), so it maps the lifted R' onto the lifted R.  sigma comes from
+    ``find_isomorphism`` between (B; R') and (B; R).  Every closure and
+    that search read the budget's deadline; past it BudgetExceededError is
+    raised.  The node limit bounds the search alone, and a search it stops
+    leaves R to its closure."""
     d = gen.domain_size
     nb = b.size
     carrier = generate_to_arity(gen, nb, budget)
@@ -167,10 +180,25 @@ def free_structure(gen: CloneGenSet, b: RelStructure,
     acting = gen.acting()
     tables = [op.table for op in carrier]
     cayleys = [_cayley(g, tables, index, budget) for g in acting]
-    lifted = {}
-    for name, _ in b.signature.rel_names:
-        seeds = [tuple(gen_index[v] for v in t) for t in b.relations[name]]
-        lifted[name] = _closure_of_tuples(seeds, acting, cayleys, len(carrier), d, budget)
+    lifted, closed = {}, []  # (b on R' alone, R') for each R' lifted by a closure
+    for name, k in b.signature.rel_names:
+        rows = b.relations[name]
+        alone = RelStructure.make(nb, {"r": rows}, {"r": k})
+        for earlier, source in closed:
+            try:
+                sigma = find_isomorphism(earlier, alone, budget)
+            except BudgetExceededError:  # past the deadline, or stopped by the node limit
+                budget.check()
+                continue
+            if sigma is not None:
+                cells = minor_cells(d, sigma.map, nb)
+                moved = [index[tuple(map(t.__getitem__, cells))] for t in tables]
+                lifted[name] = tuple(sorted(tuple(moved[i] for i in t) for t in lifted[source]))
+                break
+        else:
+            seeds = [tuple(gen_index[v] for v in t) for t in rows]
+            lifted[name] = _closure_of_tuples(seeds, acting, cayleys, len(carrier), d, budget)
+            closed.append((alone, name))
     return FreeStructure(d, b, carrier, gen_index, lifted, "generators")
 
 
@@ -191,7 +219,9 @@ def free_structure_over_polymorphisms(a: RelStructure, b: RelStructure,
     columns, since the closure of the generator tuples under a
     composition-closed clone is reached in one application.  The reflection
     reads only some cells, so it reflects the distinct restrictions of
-    Pol_m(a) to the union of those cells, one lifted tuple each.
+    Pol_m(a) to the union of those cells, one lifted tuple each; past
+    ``DEFAULT_TABLE_CAP`` cells the search for Pol_m(a) raises
+    CapacityError, as the carrier's check does for Pol_|B|(a).
     ``restrictions``, from ``_restrictions_by_cells(a, ...)``, shares those
     searches with the caller; it changes no result.
     """
@@ -213,9 +243,6 @@ def free_structure_over_polymorphisms(a: RelStructure, b: RelStructure,
         if m == 0:
             lifted[name] = ()
             continue
-        if d**m > DEFAULT_TABLE_CAP:
-            raise CapacityError(f"lifting {name!r} needs arity-{m} polymorphisms, "
-                                f"over cap {DEFAULT_TABLE_CAP}")
         lifted[name] = tuple(sorted(_reflect(
             d, projections, index, [(m, lambda cells: restrictions[m, cells])], budget,
             columns=list(zip(*rows)))))

@@ -275,20 +275,31 @@ def add_singletons(a: RelStructure) -> RelStructure:
     return RelStructure(a.size, Signature.of(pairs), rels)
 
 
-def find_isomorphism(a: RelStructure, b: RelStructure) -> HomMap | None:
-    """Brute-force isomorphism between small same-signature structures."""
-    if a.signature != b.signature or a.size != b.size:
+def find_isomorphism(a: RelStructure, b: RelStructure,
+                     budget: SearchBudget | None = None) -> HomMap | None:
+    """An isomorphism a -> b, or None when there is none.
+
+    Searched as one homomorphism from (a, !=) to (b, !=) under ``budget``.
+    When a and b have the same size and each relation of a as many tuples as
+    b's, an injective homomorphism is a bijection that maps every relation
+    of a one-to-one into, so onto, b's: an isomorphism.  The witness is
+    re-checked pointwise, and a failed check raises CrossCheckError;
+    BudgetExceededError is raised when the budget runs out first.
+    """
+    names = a.signature.rel_names
+    if (a.signature != b.signature or a.size != b.size
+            or any(len(a.relations[n]) != len(b.relations[n]) for n, _ in names)):
         return None
-    for name, _ in a.signature.rel_names:
-        if len(a.relations[name]) != len(b.relations[name]):
-            return None
-    for perm in itertools.permutations(range(a.size)):
-        f = HomMap(a.size, b.size, perm)
-        if not is_hom(f, a, b):
-            continue
-        inv = [0] * a.size
-        for x, y in enumerate(perm):
-            inv[y] = x
-        if is_hom(HomMap(b.size, a.size, tuple(inv)), b, a):
-            return f
-    return None
+    distinct = [(x, y) for x in range(a.size) for y in range(a.size) if x != y]
+    csp = hom_csp(a.size, a.relations, b)
+    csp.add_constraint(distinct, distinct)
+    outcome, sol = csp.solve(budget)
+    if outcome is Outcome.BUDGET:
+        raise BudgetExceededError("isomorphism search budget exhausted")
+    if outcome is Outcome.REFUTED:
+        return None
+    if sorted(sol) != list(range(a.size)) or any(
+            {tuple(sol[v] for v in t) for t in a.relations[n]} != b.tuple_set(n)
+            for n, _ in names):
+        raise CrossCheckError("found map is not an isomorphism")
+    return HomMap(a.size, b.size, sol)

@@ -362,6 +362,11 @@ GOLDEN = [
      "b8ba8317a243621fdfaff5299fffcd3da4d76e23228968c746e37bd339f90ed7"),
     ("modular-fails", ["maltsev", "{proj}", "--test", "modular"], 3,
      "e2905d46f9135aefbf6e54c03ca45ec1e15db6ed50637ff1fa2f191b1e0e3977"),
+    # Day's beta is its alpha relabeled, and lf is le relabeled by a 3-cycle
+    ("modular-lattice", ["maltsev", "{lattice}", "--test", "modular"], 0,
+     "766116866e8b5aca64bf4d22d83cc4f8fe62e18290bb97673ee92efb3933e897"),
+    ("color-relabeled", ["color", "--strong", "--target", "{orders}", "{min}"], 0,
+     "cbb98048d9de8779098f17a2dca754e81599fe57b4ba3cba7d0b9f82da8b8547"),
     ("hm-chain-found", ["maltsev", "{minority}", "--test", "hm-chain", "--n", "2"], 0,
      "15358c45f522eea889597f8774d483b11e5eb4b8f6449f02fe47cf1fc90ff566"),
     ("hm-chain-none", ["maltsev", "{min}", "--test", "hm-chain", "--n", "3"], 3,
@@ -380,6 +385,12 @@ def golden_files(files, k2, k3):
         "min": json.dumps({"domain_size": 2, "operations": [
             {"domain_size": 2, "arity": 2, "table": [0, 0, 0, 1]}]}),
         "proj": json.dumps({"domain_size": 2, "operations": []}),
+        "lattice": json.dumps({"domain_size": 2, "operations": [
+            {"domain_size": 2, "arity": 2, "table": [0, 0, 0, 1]},
+            {"domain_size": 2, "arity": 2, "table": [0, 1, 1, 1]}]}),
+        "orders": json.dumps({"size": 3, "relations": {
+            "le/2": [[0, 0], [0, 1], [0, 2], [1, 1], [1, 2], [2, 2]],
+            "lf/2": [[0, 0], [1, 0], [1, 1], [1, 2], [2, 0], [2, 2]]}}),
         "lerel": '{"arity": 2, "tuples": [[0,0],[0,1],[1,1]]}',
         "bad": "size 2; le/2 = {(0,0) oops};",
         "cfg": "budget-nodes = 1\n",

@@ -36,7 +36,7 @@ from clonekit.clones import _closure_of_tuples, is_polymorphism, minor_cells, op
 from clonekit.freestruct import Coloring, _cayley, clone_members_to_arity, induced_operations
 from clonekit.structures import serialize_structure
 
-from conftest import MIN2
+from conftest import MAX2, MIN2, MINORITY
 
 
 
@@ -142,26 +142,28 @@ def test_lifted_order_matches_ternary_member_characterization(
 
 def test_lifted_day_relation_matches_direct_minoring(minority_clone):
     # the minority clone's 8-ary members are the xors of odd-size variable
-    # subsets; lifting an 8-tuple relation must agree with minoring them
+    # subsets; lifting an 8-tuple relation must agree with minoring them.
+    # beta is alpha with labels 2 and 3 swapped, lifted by relabeling
     from clonekit.maltsev import day_structure
     day = day_structure()
     free = free_structure(minority_clone, day)
     index = free.carrier_index()
-    rows = day.relations["alpha"]
-    cols = ([r[0] for r in rows], [r[1] for r in rows])
-    want = set()
-    for size in (1, 3, 5, 7):
-        for chosen in itertools.combinations(range(8), size):
-            def minor(col):
-                tab = []
-                for vec in itertools.product((0, 1), repeat=4):
-                    acc = 0
-                    for i in chosen:
-                        acc ^= vec[col[i]]
-                    tab.append(acc)
-                return tuple(tab)
-            want.add((index[minor(cols[0])], index[minor(cols[1])]))
-    assert set(free.lifted["alpha"]) == want
+    for name in ("alpha", "beta"):
+        rows = day.relations[name]
+        cols = ([r[0] for r in rows], [r[1] for r in rows])
+        want = set()
+        for size in (1, 3, 5, 7):
+            for chosen in itertools.combinations(range(8), size):
+                def minor(col):
+                    tab = []
+                    for vec in itertools.product((0, 1), repeat=4):
+                        acc = 0
+                        for i in chosen:
+                            acc ^= vec[col[i]]
+                        tab.append(acc)
+                    return tuple(tab)
+                want.add((index[minor(cols[0])], index[minor(cols[1])]))
+        assert set(free.lifted[name]) == want, name
 
 
 def test_constant_coloring_for_reflexive_pointed_target(minority_clone):
@@ -670,3 +672,104 @@ def test_h1_oracle_reads_restrictions_as_full_lists_would():
         seen["fewer restrictions than members"] += sum(map(len, restrictions.values())) < len(
             members) + len(carrier)
     assert all(n >= 3 for n in seen.values()), seen
+
+
+_RELABELED_CLONES = [
+    (2, "lattice", [MIN2, MAX2]),
+    (2, "majority", [OperationTable(2, 3, (0, 0, 0, 1, 0, 1, 1, 1))]),
+    (2, "minority", [MINORITY]),
+    (3, "x+y mod 3", [OperationTable(3, 2, tuple((x + y) % 3 for x in range(3)
+                                                 for y in range(3)))]),
+]
+
+
+def test_relabeled_lifting_matches_its_own_closure(monkeypatch):
+    # seeded B on 2-4 elements with a relation r, its image under a random
+    # permutation sigma, and a relation of as many tuples not isomorphic to
+    # r; every lifted relation equals the closure of its own seeds, and only
+    # r and the other relation run a closure in free_structure.  A 3-cycle
+    # sigma tells the isomorphism from its inverse
+    fs = clonekit.freestruct
+    closures = []
+    closure = fs._closure_of_tuples
+    counted = lambda *args: closures.append(1) or closure(*args)  # noqa: E731
+    rng = random.Random(250)
+    seen = {name: 0 for _, name, _ in _RELABELED_CLONES} | {"3-cycle": 0, "inverse differs": 0}
+    cases = 0
+    while cases < 48:
+        d, clone, gens = rng.choice(_RELABELED_CLONES)
+        nb = rng.choice((2, 3, 4))
+        k = rng.choice((1, 2)) if nb == 4 and clone == "lattice" else rng.choice((1, 2, 3))
+        cube = list(itertools.product(range(nb), repeat=k))
+        count = rng.randint(1, min(4, len(cube) - 1))
+        r = rng.sample(cube, count)
+        perms = list(itertools.permutations(range(nb)))
+        sigma = rng.choice(perms)
+        others = [o for o in (rng.sample(cube, count) for _ in range(30))
+                  if all({tuple(p[v] for v in t) for t in r} != set(o) for p in perms)]
+        if not others:
+            continue
+        rels = {"r": r, "copy": [tuple(sigma[v] for v in t) for t in r], "other": others[0]}
+        names = rng.sample(list(rels), 3)
+        b = RelStructure.make(nb, {n: rels[n] for n in names})
+        gen = CloneGenSet.of(d, gens)
+        closures.clear()
+        with monkeypatch.context() as m:
+            m.setattr(fs, "_closure_of_tuples", counted)
+            free = free_structure(gen, b)
+        assert len(closures) == 2, (clone, b)
+        tables = [op.table for op in free.carrier]
+        index = free.carrier_index()
+        acting = gen.acting()
+        cayleys = [_cayley(g, tables, index, None) for g in acting]
+        for name in names:
+            seeds = [tuple(free.gen_index[v] for v in t) for t in b.relations[name]]
+            assert free.lifted[name] == _closure_of_tuples(
+                seeds, acting, cayleys, len(tables), d), (clone, b, name)
+        cases += 1
+        seen[clone] += 1
+        seen["3-cycle"] += any(sigma[v] != v == sigma[sigma[sigma[v]]] for v in range(nb))
+        first, second = sorted(("r", "copy"), key=names.index)
+        tau = clonekit.find_isomorphism(RelStructure.make(nb, {"x": rels[first]}),
+                                        RelStructure.make(nb, {"x": rels[second]}))
+        inverse = [tau.map.index(v) for v in range(nb)]
+        seen["inverse differs"] += ({tuple(inverse[v] for v in t) for t in rels[first]}
+                                    != b.tuple_set(second))
+    assert all(n >= 3 for n in seen.values()), seen
+
+
+def test_node_limit_leaves_a_relabeling_to_the_closure(monkeypatch, tmp_path, lattice_clone):
+    # the isomorphism search for Day's beta takes more than one node; a node
+    # limit that stops it costs beta its own closure, not the decision
+    from clonekit.maltsev import day_structure
+    fs = clonekit.freestruct
+    closures = []
+    closure = fs._closure_of_tuples
+    monkeypatch.setattr(fs, "_closure_of_tuples",
+                        lambda *args: closures.append(1) or closure(*args))
+    day = day_structure()
+    free = free_structure(lattice_clone, day)
+    assert len(closures) == 2
+    limited = free_structure(lattice_clone, day, SearchBudget(node_limit=1))
+    assert len(closures) == 5
+    assert limited.lifted == free.lifted
+    clone = tmp_path / "lattice.json"
+    clone.write_text(json.dumps({"domain_size": 2, "operations": [
+        operation_to_dict(op) for op in lattice_clone.generators]}))
+    res = CliRunner().invoke(main, ["maltsev", str(clone), "--test", "modular",
+                                    "--budget-nodes", "1"])
+    assert res.exit_code == 0, res.output
+
+
+def test_h1_lifting_over_the_table_cap_exits_2(tmp_path, le_struct):
+    # a target relation of 21 tuples needs Pol_21 of a two-element source,
+    # 2**21 cells: the polymorphism search refuses it
+    cube = sorted(itertools.product(range(3), repeat=3))
+    b = RelStructure.make(3, {"r": cube[:21]})
+    with pytest.raises(CapacityError):
+        free_structure_over_polymorphisms(le_struct, b)
+    src, dst = tmp_path / "le.json", tmp_path / "t21.json"
+    src.write_text(serialize_structure(le_struct))
+    dst.write_text(serialize_structure(b))
+    res = CliRunner().invoke(main, ["h1", str(src), "--target", str(dst)])
+    assert res.exit_code == 2, res.output

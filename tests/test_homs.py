@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -18,6 +19,7 @@ from clonekit import (
     is_hom,
 )
 from clonekit.freestruct import CrossCheckError
+from clonekit.search import BudgetExceededError
 from clonekit.homs import SignatureMismatchError
 from clonekit.search import Csp
 
@@ -173,6 +175,67 @@ def test_core_idempotent_and_equivalent_on_graph_corpus():
         again = core_of(res.core)
         assert find_isomorphism(again.core, res.core) is not None
         assert hom_equivalent(a, res.core).found
+
+
+def brute_isomorphism(a, b):
+    """Reference: the first permutation, in lexicographic order, that is a
+    homomorphism a -> b whose inverse is one b -> a; None when none is."""
+    if a.signature != b.signature or a.size != b.size:
+        return None
+    for perm in itertools.permutations(range(a.size)):
+        inv = [perm.index(y) for y in range(a.size)]
+        if (is_hom(HomMap(a.size, b.size, perm), a, b)
+                and is_hom(HomMap(b.size, a.size, tuple(inv)), b, a)):
+            return perm
+    return None
+
+
+def test_find_isomorphism_agrees_with_brute_force():
+    # seeded structures on 1-4 elements against a relabeled copy, or
+    # against a structure with as many tuples in every relation
+    rng = random.Random(2507)
+    seen = {"isomorphic": 0, "not isomorphic": 0, "size 1": 0}
+    for _ in range(150):
+        size = rng.randint(1, 4)
+        rels, same = {}, {}
+        for j in range(rng.randint(1, 2)):
+            cube = list(itertools.product(range(size), repeat=rng.randint(1, 3)))
+            count = rng.randint(1, len(cube))
+            rels[f"r{j}"], same[f"r{j}"] = rng.sample(cube, count), rng.sample(cube, count)
+        a = RelStructure.make(size, rels)
+        if rng.random() < 0.5:
+            perm = rng.sample(range(size), size)
+            same = {n: [tuple(perm[v] for v in t) for t in ts] for n, ts in rels.items()}
+        b = RelStructure.make(size, same)
+        want = brute_isomorphism(a, b)
+        got = find_isomorphism(a, b)
+        assert (got is None) == (want is None), (a, b)
+        if got is not None:
+            assert is_hom(got, a, b) and sorted(got.map) == list(range(size))
+        seen["not isomorphic" if want is None else "isomorphic"] += 1
+        seen["size 1"] += size == 1
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_find_isomorphism_needs_equal_counts_sizes_and_signatures(k2, k3, path3):
+    assert find_isomorphism(k3, k3) is not None
+    assert find_isomorphism(k2, k3) is None
+    assert find_isomorphism(path3, k2) is None
+    assert find_isomorphism(k2, RelStructure.make(2, {"other": [(0, 1), (1, 0)]})) is None
+    # a homomorphism that is not onto is no isomorphism: 2 vs 4 edges
+    assert find_isomorphism(RelStructure.make(3, {"edge": [(0, 1), (1, 0)]}), path3) is None
+
+
+def test_find_isomorphism_budget_and_recheck(monkeypatch, k3, le_plain):
+    with pytest.raises(BudgetExceededError):
+        find_isomorphism(k3, k3, SearchBudget(node_limit=1))
+    # the re-check is an explicit raise, so it also runs under python -O: a
+    # witness that is not a bijection, and a bijection that reverses le
+    for a, forged in ((k3, (0, 0, 1)), (le_plain, (1, 0))):
+        with monkeypatch.context() as m:
+            m.setattr(Csp, "solve", lambda self, budget=None: (Outcome.FOUND, forged))
+            with pytest.raises(CrossCheckError):
+                find_isomorphism(a, a)
 
 
 def test_hom_map_validation():
